@@ -8,9 +8,9 @@ The L2 pair-sum identity used throughout:
           + N^2 * 3^(-s)
 
 Exact mode evaluates it in integer arithmetic over a common per-axis
-denominator when one is affordable, otherwise in rational arithmetic.  Float
-mode evaluates it with numpy in fixed-order blocks, accumulating partial sums
-in extended precision, so results are run-to-run identical.
+denominator, by one sort-and-sweep pair sum at every size, offset and axis
+count.  Float mode evaluates it with numpy in fixed-order blocks, accumulating
+partial sums in extended precision, so results are run-to-run identical.
 """
 
 from __future__ import annotations
@@ -18,19 +18,15 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 import numpy as np
 
-from .radical import BasisPair, PointSet, fraction_digits, halton_point
-from .residue import ResidueData, TruncIndex, crt_inverses
+from .radical import BasisPair, PointSet, fraction_digits, point_set
+from .residue import TruncIndex, crt_inverses
 
 EXACT_DEFAULT_MAX = 1 << 12
-
-# Largest per-axis denominator product for the integer pair-sum kernel; above
-# it, int64 block sums could not hold even a handful of terms.
-_INT_KERNEL_MAX_DEN_PRODUCT = 1 << 44
 
 
 @dataclass(frozen=True)
@@ -87,45 +83,81 @@ def local_discrepancy(x: Sequence, pointset: PointSet,
 # ---------------------------------------------------------------------------
 # L2 discrepancy (pair-sum identity)
 
-def _int_columns(pointset: PointSet) -> tuple[list[int], list[list[int]]] | None:
-    """Scale each axis to a common integer denominator if affordable."""
-    s = pointset.dim
-    dens = [1] * s
-    for pt in pointset.points:
-        for i, c in enumerate(pt.coords):
-            dens[i] = lcm(dens[i], c.denominator)
-    prod = 1
-    for d in dens:
-        prod *= d
-    if prod > _INT_KERNEL_MAX_DEN_PRODUCT:
-        return None
-    cols = [[int(pt.coords[i] * dens[i]) for pt in pointset.points]
-            for i in range(s)]
-    return dens, cols
+def _sweep(a: list[tuple[int, ...]], b: list[tuple[int, ...]]) -> int:
+    """The pair sum of `_pair_sum` for entries (w, c1, c2) of two axes.
 
-
-def _pair_sum_int(cols: list[list[int]], dens: list[int]) -> int:
-    """Exact sum over all ordered pairs of prod_i (D_i - max(a_ki, a_li))."""
-    comp = [np.array([d - a for a in col], dtype=np.int64)
-            for col, d in zip(cols, dens)]
-    n = len(cols[0])
-    max_term = 1
-    for d in dens:
-        max_term *= d
-    pair_budget = (1 << 62) // max(max_term, 1)
-    row_block = min(n, 256)
-    col_block = min(n, max(1, pair_budget // row_block), 8192)
+    Entries enter in descending c1, so the c1 minimum of a pair is that of
+    its later entry.  Per side, Fenwick trees over the c2 ranks hold the
+    weights of the entries already in and those weights times c2.
+    """
+    sides = (a,) if a is b else (a, b)
+    rank = {t: r for r, t in
+            enumerate(sorted({e[2] for side in sides for e in side}), 1)}
+    size = len(rank)
+    trees = [([0] * (size + 1), [0] * (size + 1)) for _ in sides]
+    totals = [0] * len(sides)
+    stream = sorted(((e, j) for j, side in enumerate(sides) for e in side),
+                    key=lambda ej: ej[0][1], reverse=True)
     total = 0
-    for r0 in range(0, n, row_block):
-        r1 = min(n, r0 + row_block)
-        for c0 in range(0, n, col_block):
-            c1 = min(n, c0 + col_block)
-            block = np.minimum(comp[0][r0:r1, None], comp[0][None, c0:c1])
-            for comp_i in comp[1:]:
-                block = block * np.minimum(comp_i[r0:r1, None],
-                                           comp_i[None, c0:c1])
-            total += int(block.sum(dtype=np.int64))
+    for (w, c1, c2), j in stream:
+        r = rank[c2]
+        other = j if a is b else 1 - j
+        weights, sums = trees[other]
+        below = sum_below = 0
+        i = r
+        while i:
+            below += weights[i]
+            sum_below += sums[i]
+            i &= i - 1
+        # sum of w_l * min(c2, c2_l) over the other side's earlier entries l
+        earlier = sum_below + c2 * (totals[other] - below)
+        total += w * c1 * (w * c2 + 2 * earlier if a is b else earlier)
+        weights, sums = trees[j]
+        totals[j] += w
+        i = r
+        while i <= size:
+            weights[i] += w
+            sums[i] += w * c2
+            i += i & -i
     return total
+
+
+def _fold(entries: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Move the last coordinate of each entry into its weight."""
+    return [(e[0] * e[-1],) + e[1:-1] for e in entries]
+
+
+def _pair_sum(a: list[tuple[int, ...]], b: list[tuple[int, ...]]) -> int:
+    """Sum over entries k of a and l of b of w_k w_l prod_i min(c_ki, c_li).
+
+    Entries are tuples (w, c1, ..., cd) with d >= 2; `a is b` asks for the
+    sum over all ordered pairs of one list, k = l included.  Above two axes
+    the entries are halved along the last one (Heinrich, Math. Comp. 65,
+    1996): a pair split by the halving takes its last-axis minimum from its
+    lower entry, so the split pairs form a two-sided sum in one axis fewer.
+    """
+    if not a or not b:
+        return 0
+    if len(a[0]) == 3:
+        return _sweep(a, b)
+    if a is b:
+        ordered = sorted(a, key=lambda e: e[-1])
+        if len(ordered) == 1:
+            w, *c = ordered[0]
+            return w * w * prod(c)
+        half = len(ordered) // 2
+        lo, hi = ordered[:half], ordered[half:]
+        return (_pair_sum(lo, lo) + _pair_sum(hi, hi)
+                + 2 * _pair_sum(_fold(lo), [e[:-1] for e in hi]))
+    ordered = sorted([(e, 0) for e in a] + [(e, 1) for e in b],
+                     key=lambda ej: ej[0][-1])
+    half = len(ordered) // 2
+    (a_lo, b_lo), (a_hi, b_hi) = (
+        [[e for e, j in part if j == side] for side in (0, 1)]
+        for part in (ordered[:half], ordered[half:]))
+    return (_pair_sum(a_lo, b_lo) + _pair_sum(a_hi, b_hi)
+            + _pair_sum(_fold(a_lo), [e[:-1] for e in b_hi])
+            + _pair_sum(_fold(b_lo), [e[:-1] for e in a_hi]))
 
 
 def _pair_sum_float(cols_f: list[np.ndarray]) -> np.longdouble:
@@ -154,51 +186,22 @@ def _pair_sum_float(cols_f: list[np.ndarray]) -> np.longdouble:
 
 
 def _l2_exact(pointset: PointSet) -> Fraction:
+    """The pair-sum identity on the complements D_i - a of the coordinates a
+    scaled to each axis's common denominator D_i; one axis is padded with 1s."""
     n = pointset.count
     s = pointset.dim
-    scaled = _int_columns(pointset) if s <= 2 else None
-    if scaled is not None:
-        dens, cols = scaled
-        t1 = _pair_sum_int(cols, dens)
-        den_prod = 1
-        for d in dens:
-            den_prod *= d
-        t2 = 0
-        for k in range(n):
-            term = 1
-            for i, d in enumerate(dens):
-                a = cols[i][k]
-                term *= d * d - a * a
-            t2 += term
-        return (Fraction(t1, den_prod)
-                - Fraction(n * t2, 2 ** (s - 1) * den_prod ** 2)
-                + Fraction(n * n, 3 ** s))
-    if n > 2048:
-        raise ValueError(
-            "exact mode on this set needs a quadratic rational pair sum; "
-            "use mode='float' above 2048 points"
-        )
     pts = [pt.coords for pt in pointset.points]
-    t1 = Fraction(0)
-    for k in range(n):
-        a = pts[k]
-        term = Fraction(1)
-        for i in range(s):
-            term *= 1 - a[i]
-        t1 += term  # diagonal
-        for l in range(k + 1, n):
-            b = pts[l]
-            term = Fraction(1)
-            for i in range(s):
-                term *= 1 - max(a[i], b[i])
-            t1 += 2 * term
-    t2 = Fraction(0)
-    for k in range(n):
-        term = Fraction(1)
-        for i in range(s):
-            term *= 1 - pts[k][i] ** 2
-        t2 += term
-    return t1 - Fraction(n, 2 ** (s - 1)) * t2 + Fraction(n * n, 3 ** s)
+    dens = [lcm(*(x[i].denominator for x in pts)) for i in range(s)]
+    nums = [[c.numerator * (d // c.denominator) for c, d in zip(x, dens)]
+            for x in pts]
+    pad = (1,) if s == 1 else ()
+    entries = [(1, *(d - a for a, d in zip(x, dens)), *pad) for x in nums]
+    t1 = _pair_sum(entries, entries)
+    t2 = sum(prod(d * d - a * a for a, d in zip(x, dens)) for x in nums)
+    den_prod = prod(dens)
+    return (Fraction(t1, den_prod)
+            - Fraction(n * t2, 2 ** (s - 1) * den_prod ** 2)
+            + Fraction(n * n, 3 ** s))
 
 
 def _l2_float(pointset: PointSet) -> float:
@@ -323,12 +326,6 @@ def truncate_digits(x: Sequence, r: TruncIndex,
     return tuple(out)
 
 
-def _halton_pointset(bases: BasisPair, start: int, count: int) -> PointSet:
-    pts = tuple(halton_point(start + k, bases.as_tuple())
-                for k in range(count))
-    return PointSet(pts, bases.as_tuple(), start, count, "halton")
-
-
 def truncated_discrepancy(x: Sequence, q_start: int, n_count: int,
                           bases: BasisPair | Sequence[int]) -> Fraction:
     """Local discrepancy at the corner truncated to depth floor(log2 N) + 1.
@@ -340,7 +337,8 @@ def truncated_discrepancy(x: Sequence, q_start: int, n_count: int,
         raise ValueError(f"count must be >= 1, got {n_count}")
     depth = n_count.bit_length()
     xt = truncate_digits(x, (depth, depth), bp)
-    return Fraction(local_discrepancy(xt, _halton_pointset(bp, q_start, n_count)).value)
+    ps = point_set("halton", bp.as_tuple(), q_start, n_count)
+    return Fraction(local_discrepancy(xt, ps).value)
 
 
 def count_in_class(residue: int, q_start: int, n_count: int, modulus: int) -> int:

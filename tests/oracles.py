@@ -70,6 +70,37 @@ def piecewise_l2_squared(points: Sequence[Sequence[Fraction]]) -> Fraction:
     return total
 
 
+def pair_sum_l2_squared(points: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact L2 discrepancy squared by the quadratic pair-sum identity.
+
+    Every unordered pair is visited once, in rational arithmetic, with the
+    off-diagonal pairs counted twice; no sorting, no common denominators.
+    """
+    pts = [tuple(Fraction(c) for c in pt) for pt in points]
+    n = len(pts)
+    s = len(pts[0])
+    t1 = Fraction(0)
+    for k in range(n):
+        a = pts[k]
+        term = Fraction(1)
+        for i in range(s):
+            term *= 1 - a[i]
+        t1 += term  # diagonal
+        for l in range(k + 1, n):
+            b = pts[l]
+            term = Fraction(1)
+            for i in range(s):
+                term *= 1 - max(a[i], b[i])
+            t1 += 2 * term
+    t2 = Fraction(0)
+    for k in range(n):
+        term = Fraction(1)
+        for i in range(s):
+            term *= 1 - pts[k][i] ** 2
+        t2 += term
+    return t1 - Fraction(n, 2 ** (s - 1)) * t2 + Fraction(n * n, 3 ** s)
+
+
 def star_by_cells(points: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact sup of |local discrepancy| via per-cell corner limits."""
     pts = [tuple(Fraction(c) for c in pt) for pt in points]

@@ -23,6 +23,7 @@ from haltonlab import (
 from oracles import (
     count_below,
     layer_by_direct_count,
+    pair_sum_l2_squared,
     piecewise_l2_squared,
     star_by_cells,
     truncated_discrepancy_by_count,
@@ -137,6 +138,30 @@ def test_l2_exact_three_dimensional_fraction_path():
     ps = point_set("halton", (2, 3, 5), 0, 40)
     got = l2_discrepancy_squared(ps, mode="exact").value
     assert got == piecewise_l2_squared([pt.coords for pt in ps.points])
+
+
+def test_l2_exact_matches_pair_sum_on_tied_sets():
+    # Coordinates k/8 and k/9 on few values: many ties and duplicates, so
+    # equal coordinates straddle every halving split of the exact kernel.
+    rng = random.Random(11)
+    for dens, n in (((8,), 300), ((9,), 100), ((8, 9), 250), ((9, 9), 120),
+                    ((8, 9, 8), 150), ((9, 8, 9), 100), ((8, 9, 8, 9), 40)):
+        pts = [tuple(F(rng.randrange(d), d) for d in dens) for _ in range(n)]
+        ps = point_set("explicit", (2, 3), points=pts)
+        got = l2_discrepancy_squared(ps, mode="exact").value
+        assert got == pair_sum_l2_squared(pts)
+
+
+@pytest.mark.parametrize("bases, start, n", [
+    ((2, 3, 5), 5 ** 9, 4096),
+    ((2, 3), 10 ** 9 - 3000, 3000),
+])
+def test_l2_exact_answers_large_sets_at_large_offsets(bases, start, n):
+    ps = point_set("halton", bases, start, n)
+    exact = l2_discrepancy_squared(ps, mode="exact")
+    approx = l2_discrepancy_squared(ps, mode="float").value
+    assert exact.mode == "exact"
+    assert abs(approx - float(exact.value)) <= 1e-10 * float(exact.value)
 
 
 # ---------------------------------------------------------------------------
