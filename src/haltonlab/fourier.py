@@ -17,6 +17,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -224,28 +225,44 @@ def _split_axis(mhat: int, p: int, rplus: int, rminus: int) -> tuple[int, int]:
     return low, high
 
 
-def digit_split(m1: int, m2: int, r_pair: DepthPair,
-                bases: BasisPair | Sequence[int]) -> DigitSplit:
-    """Fold (m1, m2) per axis and split each fold into its signed windows."""
-    bp = BasisPair.of(bases)
-    ps = bp.as_tuple()
-    rds = (crt_inverses(bp, r_pair[0]), crt_inverses(bp, r_pair[1]))
-    for m, rd in zip((m1, m2), rds):
-        if m == 0 or m not in signed_residues(rd.P):
-            raise ValueError(
-                f"frequency {m} outside the nonzero signed window mod {rd.P}"
-            )
-    ms = (m1, m2)
-    hat_list, mm_list, win_list, order_list = [], [], [], []
-    for i, p in enumerate(ps):
+@lru_cache(maxsize=4096)
+def _fold_plan(p1: int, p2: int, r_pair: DepthPair):
+    """Moduli P_j and per-axis fold constants of a depth pair.
+
+    Axis i gets (p, rplus, rminus, k1, k2, weights) with
+    weights[j] = M_j * p^(rplus - r_j): the fold of (m1, m2) on that axis is
+    m1*weights[0] + m2*weights[1].
+    """
+    rds = (crt_inverses((p1, p2), r_pair[0]), crt_inverses((p1, p2), r_pair[1]))
+    axes = []
+    for i, p in enumerate((p1, p2)):
         t = (r_pair[0][i], r_pair[1][i])
         rplus, rminus = max(t), min(t)
         k2 = 0 if t[0] > t[1] else 1
-        k1 = 1 - k2
-        q = p ** rplus
         inv = ((rds[0].M1, rds[1].M1) if i == 0 else (rds[0].M2, rds[1].M2))
-        mhat = (-(ms[0] * inv[0] * p ** (rplus - t[0])
-                  + ms[1] * inv[1] * p ** (rplus - t[1]))) % q
+        weights = (inv[0] * p ** (rplus - t[0]), inv[1] * p ** (rplus - t[1]))
+        axes.append((p, rplus, rminus, 1 - k2, k2, weights))
+    return (rds[0].P, rds[1].P), tuple(axes)
+
+
+def _plan_of(bases: BasisPair | Sequence[int], r_pair: DepthPair):
+    bp = BasisPair.of(bases)
+    return _fold_plan(bp.p1, bp.p2, (tuple(r_pair[0]), tuple(r_pair[1])))
+
+
+def digit_split(m1: int, m2: int, r_pair: DepthPair,
+                bases: BasisPair | Sequence[int]) -> DigitSplit:
+    """Fold (m1, m2) per axis and split each fold into its signed windows."""
+    moduli, axes = _plan_of(bases, r_pair)
+    for m, P in zip((m1, m2), moduli):
+        if m == 0 or not -((P - 1) // 2) <= m <= P // 2:
+            raise ValueError(
+                f"frequency {m} outside the nonzero signed window mod {P}"
+            )
+    hat_list, mm_list, win_list, order_list = [], [], [], []
+    for p, rplus, rminus, k1, k2, weights in axes:
+        q = p ** rplus
+        mhat = (-(m1 * weights[0] + m2 * weights[1])) % q
         low, high = _split_axis(mhat, p, rplus, rminus)
         mm = [0, 0]
         win = [0, 0]
@@ -271,16 +288,10 @@ def combined_frequency(m1: int, m2: int, mm_pair: tuple[int, int],
     When mm comes from digit_split of (m1, m2), the result is divisible by
     p^t where t is the axis's larger depth.
     """
-    bp = BasisPair.of(bases)
-    p = bp.as_tuple()[axis]
-    rds = (crt_inverses(bp, r_pair[0]), crt_inverses(bp, r_pair[1]))
+    p, rplus, _, _, _, weights = _plan_of(bases, r_pair)[1][axis]
     t = (r_pair[0][axis], r_pair[1][axis])
-    rplus = max(t)
-    total = 0
-    for j in range(2):
-        inv = (rds[j].M1, rds[j].M2)[axis]
-        total += (mm_pair[j] + (m1, m2)[j] * inv) * p ** (rplus - t[j])
-    return total
+    return (mm_pair[0] * p ** (rplus - t[0]) + m1 * weights[0]
+            + mm_pair[1] * p ** (rplus - t[1]) + m2 * weights[1])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 # Materialize point sets eagerly up to this count; use halton_stream above it.
@@ -79,7 +80,7 @@ class BasisPair:
         if isinstance(bases, BasisPair):
             return bases
         p1, p2 = bases
-        return cls(int(p1), int(p2))
+        return _basis_pair(int(p1), int(p2))
 
     @property
     def primality(self) -> tuple[bool, bool]:
@@ -87,6 +88,12 @@ class BasisPair:
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.p1, self.p2)
+
+
+@lru_cache(maxsize=256)
+def _basis_pair(p1: int, p2: int) -> BasisPair:
+    """Validated pairs are immutable, so each one is built and checked once."""
+    return BasisPair(p1, p2)
 
 
 def _gcd(a: int, b: int) -> int:

@@ -166,7 +166,8 @@ class SignedResidueSet:
         return self.M
 
     def __contains__(self, a: int) -> bool:
-        return self.lo <= a <= self.hi
+        M = self.M
+        return -((M - 1) // 2) <= a <= M // 2
 
     def nonzero(self):
         """The set minus 0, in ascending order."""
