@@ -55,26 +55,6 @@ VERIFY_SUITES = ("membership", "decomposition", "fourier", "moments", "padic")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Plumbing for one CLI invocation; the seed fixes every sampled value."""
-
-    bases: tuple[int, ...] = (2, 3)
-    q: int = 0
-    n_grid: tuple[int, ...] = ()
-    mode: str = "exact"
-    seed: int = 0
-    v_override: int | None = None
-    vv_override: int | None = None
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if tuple(sorted(self.n_grid)) != self.n_grid:
-            raise ValueError("n_grid must be sorted ascending")
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"mode must be exact or float, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class ScalingRow:
     n: int
     q: int
@@ -111,10 +91,6 @@ def _parse_fraction_point(text: str) -> tuple[Fraction, ...]:
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed & (2 ** 64 - 1), stream])
-
-
-def _points_matrix(ps) -> np.ndarray:
-    return np.array([[float(c) for c in p.coords] for p in ps.points])
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +232,8 @@ def cmd_scaling(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
-def _suite_membership(cfg: ExperimentConfig, inject: bool) -> dict:
-    bp = BasisPair.of(cfg.bases[:2])
+def _suite_membership(args: argparse.Namespace, inject: bool) -> dict:
+    bp = BasisPair.of(args.bases[:2])
     s = (2, 2)
     q1, q2 = bp.p1 ** 2, bp.p2 ** 2
     period = q1 * q2
@@ -287,10 +263,10 @@ def _suite_membership(cfg: ExperimentConfig, inject: bool) -> dict:
     }
 
 
-def _suite_decomposition(cfg: ExperimentConfig, inject: bool,
+def _suite_decomposition(args: argparse.Namespace, inject: bool,
                          cases: int = 25) -> dict:
-    bp = BasisPair.of(cfg.bases[:2])
-    rng = _rng(cfg.seed, 2)
+    bp = BasisPair.of(args.bases[:2])
+    rng = _rng(args.seed, 2)
     violations = 0
     max_err = Fraction(0)
     bound = bp.p1 * bp.p2
@@ -335,10 +311,10 @@ def _depth_pairs_within(bp: BasisPair, p_cap: int) -> list[tuple[int, int]]:
     return out
 
 
-def _suite_fourier(cfg: ExperimentConfig, inject: bool,
+def _suite_fourier(args: argparse.Namespace, inject: bool,
                    cases_per_depth: int = 5, p_cap: int = 200) -> dict:
-    bp = BasisPair.of(cfg.bases[:2])
-    rng = _rng(cfg.seed, 3)
+    bp = BasisPair.of(args.bases[:2])
+    rng = _rng(args.seed, 3)
     violations = 0
     max_rel = 0.0
     checked = 0
@@ -369,16 +345,16 @@ def _suite_fourier(cfg: ExperimentConfig, inject: bool,
     }
 
 
-def _suite_moments(cfg: ExperimentConfig, inject: bool) -> dict:
-    bp = BasisPair.of(cfg.bases[:2])
-    v = cfg.v_override if cfg.v_override is not None else 0
-    vv = cfg.vv_override if cfg.vv_override is not None else 0
+def _suite_moments(args: argparse.Namespace, inject: bool) -> dict:
+    bp = BasisPair.of(args.bases[:2])
+    v = args.v_override if args.v_override is not None else 0
+    vv = args.vv_override if args.vv_override is not None else 0
     violations = 0
     max_ratio = 0.0
     cases = 0
     for n_count in (1, 2, 3):
         for lam in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            lhs, rhs = second_moment_block(lam, n_count, cfg.q, bp, 2, v, vv)
+            lhs, rhs = second_moment_block(lam, n_count, args.q, bp, 2, v, vv)
             if inject and cases == 0:
                 lhs += MOMENT_RATIO_BOUND * rhs + 1.0
             if rhs == 0.0:
@@ -402,9 +378,9 @@ def _suite_moments(cfg: ExperimentConfig, inject: bool) -> dict:
     }
 
 
-def _suite_padic(cfg: ExperimentConfig, inject: bool, l_max: int = 10,
+def _suite_padic(args: argparse.Namespace, inject: bool, l_max: int = 10,
                  b_max: int = 50) -> dict:
-    bp = BasisPair.of(cfg.bases[:2])
+    bp = BasisPair.of(args.bases[:2])
     if not all(bp.primality):
         raise SystemExit("padic suite needs prime bases")
     violations = 0
@@ -434,11 +410,6 @@ def _suite_padic(cfg: ExperimentConfig, inject: bool, l_max: int = 10,
 
 
 def cmd_verify(args) -> int:
-    cfg = ExperimentConfig(
-        bases=args.bases, q=args.q, mode=args.mode, seed=args.seed,
-        v_override=args.v_override, vv_override=args.vv_override,
-        out=args.out,
-    )
     runners = {
         "membership": _suite_membership,
         "decomposition": _suite_decomposition,
@@ -450,7 +421,7 @@ def cmd_verify(args) -> int:
     reports = []
     ok = True
     for name in suites:
-        rep = runners[name](cfg, args.inject_fault)
+        rep = runners[name](args, args.inject_fault)
         reports.append(rep)
         ok = ok and rep["pass"]
     out = {
@@ -498,7 +469,7 @@ def cmd_clt(args) -> int:
     dim = s + 1
     bases = first_primes(s)
     ps = point_set("hammersley", bases, 0, n)
-    pts = _points_matrix(ps)
+    pts = ps.float_matrix()
 
     if args.d2_mode == "pairsum" or (args.d2_mode == "auto" and n <= EXACT_GRID_CAP):
         d2sq = l2_discrepancy_squared(ps, mode="float").as_float()

@@ -7,10 +7,11 @@ The L2 pair-sum identity used throughout:
           - 2N * sum_k prod_i (1 - x_{k,i}^2)/2
           + N^2 * 3^(-s)
 
-Exact mode evaluates it in integer arithmetic over a common per-axis
-denominator, by one sort-and-sweep pair sum at every size, offset and axis
-count.  Float mode evaluates it with numpy in fixed-order blocks, accumulating
-partial sums in extended precision, so results are run-to-run identical.
+Exact mode evaluates it in integer arithmetic on the point set's per-axis
+numerators and denominators, by one sort-and-sweep pair sum at every size,
+offset and axis count.  Float mode evaluates it with numpy in fixed-order
+blocks, accumulating partial sums in extended precision, so results are
+run-to-run identical.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -65,10 +66,11 @@ def local_discrepancy(x: Sequence, pointset: PointSet,
     for c in xs:
         if not 0 <= c <= 1:
             raise ValueError(f"corner coordinate out of [0, 1]: {c}")
-    count = 0
-    for pt in pointset.points:
-        if all(c < xi for c, xi in zip(pt.coords, xs)):
-            count += 1
+    # a / D < x exactly when the integer a is below ceil(x D)
+    limits = [-(-x.numerator * d // x.denominator)
+              for x, d in zip(xs, pointset.dens)]
+    count = sum(all(a < t for a, t in zip(row, limits))
+                for row in zip(*pointset.cols))
     vol = Fraction(1)
     for xi in xs:
         vol *= xi
@@ -186,18 +188,16 @@ def _pair_sum_float(cols_f: list[np.ndarray]) -> np.longdouble:
 
 
 def _l2_exact(pointset: PointSet) -> Fraction:
-    """The pair-sum identity on the complements D_i - a of the coordinates a
-    scaled to each axis's common denominator D_i; one axis is padded with 1s."""
+    """The pair-sum identity on the complements D_i - a of the numerators a
+    over each axis's denominator D_i; one axis is padded with 1s."""
     n = pointset.count
     s = pointset.dim
-    pts = [pt.coords for pt in pointset.points]
-    dens = [lcm(*(x[i].denominator for x in pts)) for i in range(s)]
-    nums = [[c.numerator * (d // c.denominator) for c, d in zip(x, dens)]
-            for x in pts]
+    dens = pointset.dens
+    rows = list(zip(*pointset.cols))
     pad = (1,) if s == 1 else ()
-    entries = [(1, *(d - a for a, d in zip(x, dens)), *pad) for x in nums]
+    entries = [(1, *(d - a for a, d in zip(x, dens)), *pad) for x in rows]
     t1 = _pair_sum(entries, entries)
-    t2 = sum(prod(d * d - a * a for a, d in zip(x, dens)) for x in nums)
+    t2 = sum(prod(d * d - a * a for a, d in zip(x, dens)) for x in rows)
     den_prod = prod(dens)
     return (Fraction(t1, den_prod)
             - Fraction(n * t2, 2 ** (s - 1) * den_prod ** 2)
@@ -207,8 +207,7 @@ def _l2_exact(pointset: PointSet) -> Fraction:
 def _l2_float(pointset: PointSet) -> float:
     n = pointset.count
     s = pointset.dim
-    cols = [np.array([float(pt.coords[i]) for pt in pointset.points])
-            for i in range(s)]
+    cols = list(pointset.float_matrix().T)
     t1 = _pair_sum_float(cols)
     m = np.ones(n, dtype=np.longdouble)
     for col in cols:
@@ -239,17 +238,14 @@ def l2_discrepancy_squared(pointset: PointSet,
 # ---------------------------------------------------------------------------
 # star discrepancy, s <= 2
 
-def _star_1d(coords: list[Fraction], n: int) -> Fraction:
-    vals_plus = sorted(set([Fraction(0)] + coords))
-    best = Fraction(0)
+def _star_1d(coords: Sequence[int], den: int, n: int) -> int:
+    """The 1-axis sweep on numerators over den; the result is over den."""
     srt = sorted(coords)
-    for v in vals_plus:
-        cnt = bisect.bisect_right(srt, v)
-        best = max(best, cnt - n * v)
-    vals_minus = sorted(set(c for c in coords if c > 0) | {Fraction(1)})
-    for v in vals_minus:
-        cnt = bisect.bisect_left(srt, v)
-        best = max(best, n * v - cnt)
+    best = 0
+    for v in sorted({0, *coords}):
+        best = max(best, bisect.bisect_right(srt, v) * den - n * v)
+    for v in sorted({c for c in coords if c > 0} | {den}):
+        best = max(best, n * v - bisect.bisect_left(srt, v) * den)
     return best
 
 
@@ -259,37 +255,40 @@ def star_discrepancy(pointset: PointSet) -> DiscrepancyValue:
     The supremum over each grid rectangle of the piecewise profile is attained
     either at its closed upper corner or as a limit at its open lower corner,
     so both corner families are enumerated symbolically; no epsilon nudges.
+    The sweep runs on the integer numerators, every candidate over D1 D2.
     """
     n = pointset.count
     s = pointset.dim
     if s not in (1, 2):
         raise ValueError(f"star discrepancy implemented for s in {{1,2}}, got {s}")
     if s == 1:
-        coords = [pt.coords[0] for pt in pointset.points]
-        return DiscrepancyValue(_star_1d(coords, n), "exact")
+        (den,), (col,) = pointset.dens, pointset.cols
+        return DiscrepancyValue(Fraction(_star_1d(col, den, n), den),
+                                "exact")
 
-    pts = sorted((pt.coords[0], pt.coords[1]) for pt in pointset.points)
-    xs_plus = sorted(set([Fraction(0)] + [p[0] for p in pts]))
-    ys_plus = sorted(set([Fraction(0)] + [p[1] for p in pts]))
-    best = Fraction(0)
+    d1, d2 = pointset.dens
+    big = d1 * d2
+    pts = sorted(zip(*pointset.cols))
+    xs_plus = sorted({0, *(p[0] for p in pts)})
+    ys_plus = sorted({0, *(p[1] for p in pts)})
+    best = 0
 
     # sup of +D: approached from above the lower-left corner of each cell;
     # the count there includes points with coordinates <= the corner.
     idx = 0
-    ys_seen: list[Fraction] = []
+    ys_seen: list[int] = []
     for v in xs_plus:
         while idx < n and pts[idx][0] <= v:
             bisect.insort(ys_seen, pts[idx][1])
             idx += 1
         for w in ys_plus:
-            cnt = bisect.bisect_right(ys_seen, w)
-            val = cnt - n * v * w
+            val = bisect.bisect_right(ys_seen, w) * big - n * v * w
             if val > best:
                 best = val
 
     # sup of -D: attained at the closed upper corner; strict counts there.
-    xs_minus = sorted(set(p[0] for p in pts if p[0] > 0) | {Fraction(1)})
-    ys_minus = sorted(set(p[1] for p in pts if p[1] > 0) | {Fraction(1)})
+    xs_minus = sorted({p[0] for p in pts if p[0] > 0} | {d1})
+    ys_minus = sorted({p[1] for p in pts if p[1] > 0} | {d2})
     idx = 0
     ys_seen = []
     for v in xs_minus:
@@ -297,11 +296,10 @@ def star_discrepancy(pointset: PointSet) -> DiscrepancyValue:
             bisect.insort(ys_seen, pts[idx][1])
             idx += 1
         for w in ys_minus:
-            cnt = bisect.bisect_left(ys_seen, w)
-            val = n * v * w - cnt
+            val = n * v * w - bisect.bisect_left(ys_seen, w) * big
             if val > best:
                 best = val
-    return DiscrepancyValue(best, "exact")
+    return DiscrepancyValue(Fraction(best, big), "exact")
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Digit expansions in integer bases and exact low-discrepancy point generators.
 
-Coordinates are exact `fractions.Fraction` values; floating-point views are
-lossy accessors computed on demand.
+A point set stores each axis as integer numerators over one common
+denominator.  `fractions.Fraction` points and float coordinates are views
+computed on demand.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from math import lcm
+from typing import Sequence
 
-# Materialize point sets eagerly up to this count; use halton_stream above it.
+import numpy as np
+
+# Largest point count a set is materialized for.
 EAGER_CAP = 1 << 22
 
 KINDS = ("halton", "hammersley", "van_der_corput", "explicit")
@@ -44,21 +47,6 @@ def first_primes(k: int) -> tuple[int, ...]:
             found.append(n)
         n += 1
     return tuple(found)
-
-
-@dataclass(frozen=True)
-class Base:
-    """An integer base >= 2 with a cached primality flag."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or self.value < 2:
-            raise ValueError(f"base must be an integer >= 2, got {self.value!r}")
-
-    @property
-    def is_prime(self) -> bool:
-        return is_prime(self.value)
 
 
 @dataclass(frozen=True)
@@ -190,9 +178,6 @@ class RationalPoint:
     def dim(self) -> int:
         return len(self.coords)
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coords)
-
 
 def halton_point(n: int, bases: Sequence[int]) -> RationalPoint:
     """Point whose i-th coordinate is the base bases[i] radical inverse of n."""
@@ -201,24 +186,16 @@ def halton_point(n: int, bases: Sequence[int]) -> RationalPoint:
     return RationalPoint(tuple(radical_inverse(n, p) for p in bs))
 
 
-def halton_stream(bases: Sequence[int], start: int = 0,
-                  count: int | None = None) -> Iterator[RationalPoint]:
-    """Yield Halton points for indices start, start+1, ... (count of them if given)."""
-    bs = tuple(int(p) for p in bases)
-    _check_pairwise_coprime(bs)
-    n = start
-    produced = 0
-    while count is None or produced < count:
-        yield RationalPoint(tuple(radical_inverse(n, p) for p in bs))
-        n += 1
-        produced += 1
-
-
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered, materialized list of rational points with its provenance."""
+    """An ordered point set with its provenance, stored by axis.
 
-    points: tuple[RationalPoint, ...]
+    Coordinate i of point k is cols[i][k] / dens[i], where dens[i] is the
+    lcm of the reduced denominators on axis i.
+    """
+
+    dens: tuple[int, ...]
+    cols: tuple[tuple[int, ...], ...]
     bases: tuple[int, ...]
     start: int
     count: int
@@ -227,23 +204,81 @@ class PointSet:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if len(self.points) != self.count:
-            raise ValueError(
-                f"point list length {len(self.points)} != count {self.count}"
-            )
+        if len(self.cols) != len(self.dens) or any(
+                len(col) != self.count for col in self.cols):
+            raise ValueError(f"columns do not hold {self.count} points "
+                             f"on {len(self.dens)} axes")
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim if self.points else len(self.bases)
+        return len(self.dens)
 
-    def float_rows(self) -> list[tuple[float, ...]]:
-        return [pt.as_floats() for pt in self.points]
+    @cached_property
+    def points(self) -> tuple[RationalPoint, ...]:
+        """The points as exact `RationalPoint`s, built on first access."""
+        return tuple(
+            RationalPoint(tuple(Fraction(a, d) for a, d in zip(row, self.dens)))
+            for row in zip(*self.cols))
+
+    def float_matrix(self) -> np.ndarray:
+        """Coordinates as a count x dim float64 array, each correctly rounded."""
+        return np.array([[a / d for a in col]
+                         for col, d in zip(self.cols, self.dens)],
+                        dtype=np.float64).T
+
+
+def _inverse_column(p: int, start: int, count: int
+                    ) -> tuple[int, tuple[int, ...]]:
+    """Base-p radical inverses of start, ..., start + count - 1 as numerators
+    over p^D, D the digit count of the last index.
+
+    Index n = h p^k + l reverses to rev_k(l) p^(D-k) + rev_(D-k)(h), so one
+    table of the k-digit reversals serves every block of p^k indices.
+    """
+    last = start + count - 1
+    den = 1
+    while den <= last:
+        den *= p
+    block = 1
+    table = [0]
+    while block * p <= min(count, den):
+        table = [d * block + t for t in table for d in range(p)]
+        block *= p
+    scale = den // block
+    out: list[int] = []
+    for h in range(start // block, last // block + 1):
+        high, n, weight = 0, h, scale
+        while n:
+            n, d = divmod(n, p)
+            weight //= p
+            high += d * weight
+        lo = max(start - h * block, 0)
+        hi = min(last - h * block + 1, block)
+        out.extend(t * scale + high for t in table[lo:hi])
+    return den, tuple(out)
+
+
+def _exact_columns(rows: Sequence[Sequence], dim: int
+                   ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Per-axis lcm denominators and numerator columns of rational rows."""
+    fracs = [tuple(Fraction(c) for c in row) for row in rows]
+    for row in fracs:
+        if len(row) != dim:
+            raise ValueError(f"point has {len(row)} coordinates, expected {dim}")
+        for c in row:
+            if not 0 <= c < 1:
+                raise ValueError(f"coordinate out of [0, 1): {c}")
+    axes = list(zip(*fracs)) if fracs else [()] * dim
+    dens = tuple(lcm(*(c.denominator for c in axis)) for axis in axes)
+    cols = tuple(tuple(c.numerator * (d // c.denominator) for c in axis)
+                 for axis, d in zip(axes, dens))
+    return dens, cols
 
 
 def point_set(kind: str, bases: Sequence[int] | int, start: int = 0,
               count: int = 1,
-              points: Sequence[RationalPoint] | None = None,
-              cap: int = EAGER_CAP) -> PointSet:
+              points: Sequence[RationalPoint | Sequence] | None = None
+              ) -> PointSet:
     """Materialize a point set of the given kind.
 
     kind "halton": points H(start), ..., H(start+count-1) over the given bases.
@@ -259,38 +294,26 @@ def point_set(kind: str, bases: Sequence[int] | int, start: int = 0,
         raise ValueError(f"count must be >= 1, got {count}")
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
-    if count > cap:
-        raise ValueError(
-            f"count {count} exceeds the eager cap {cap}; use halton_stream"
-        )
+    if count > EAGER_CAP:
+        raise ValueError(f"count {count} exceeds the eager cap {EAGER_CAP}")
     if kind == "explicit":
         if points is None:
             raise ValueError("explicit kind requires points")
-        pts = tuple(
-            p if isinstance(p, RationalPoint)
-            else RationalPoint(tuple(Fraction(c) for c in p))
-            for p in points
-        )
-        return PointSet(pts, bs, start, len(pts), kind)
+        rows = [p.coords if isinstance(p, RationalPoint) else p for p in points]
+        dens, cols = _exact_columns(rows, len(rows[0]) if rows else len(bs))
+        return PointSet(dens, cols, bs, start, len(rows), kind)
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
     _check_pairwise_coprime(bs)
-    if kind == "van_der_corput":
-        if len(bs) != 1:
-            raise ValueError("van_der_corput takes exactly one base")
-        pts = tuple(RationalPoint((radical_inverse(start + k, bs[0]),))
-                    for k in range(count))
-        return PointSet(pts, bs, start, count, kind)
-    if kind == "halton":
-        pts = tuple(halton_point(start + k, bs) for k in range(count))
-        return PointSet(pts, bs, start, count, kind)
+    if kind == "van_der_corput" and len(bs) != 1:
+        raise ValueError("van_der_corput takes exactly one base")
+    if kind == "hammersley" and start != 0:
+        raise ValueError("hammersley requires start = 0")
+    dens, cols = zip(*(_inverse_column(p, start, count) for p in bs))
     if kind == "hammersley":
-        if start != 0:
-            raise ValueError("hammersley requires start = 0")
-        pts = tuple(
-            RationalPoint(halton_point(k, bs).coords + (Fraction(k, count),))
-            for k in range(count)
-        )
-        return PointSet(pts, bs, start, count, kind)
-    raise ValueError(f"unknown kind {kind!r}")
+        dens += (count,)
+        cols += (tuple(range(count)),)
+    return PointSet(dens, cols, bs, start, count, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +338,17 @@ def load_csv(path: str) -> PointSet:
         if not meta_line.startswith("# "):
             raise ValueError(f"{path}: missing metadata line")
         meta = dict(item.split("=", 1) for item in meta_line[2:].split())
-        fh.readline()  # column header
-        pts = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            coords = tuple(Fraction(int(num), int(den))
-                           for num, den in (c.split("/") for c in line.split(",")))
-            pts.append(RationalPoint(coords))
+        dim = len(fh.readline().split(","))  # column header
+        rows = [tuple(Fraction(int(num), int(den))
+                      for num, den in (c.split("/") for c in line.split(",")))
+                for line in map(str.strip, fh) if line]
     bases = tuple(int(b) for b in meta["bases"].split(","))
-    return PointSet(tuple(pts), bases, int(meta["start"]), int(meta["count"]),
+    dens, cols = _exact_columns(rows, dim)
+    return PointSet(dens, cols, bases, int(meta["start"]), int(meta["count"]),
                     meta["kind"])
 
 
 def save_float64(ps: PointSet, path: str) -> None:
     """Write coordinates as little-endian float64, row-major, no header."""
     with open(path, "wb") as fh:
-        for pt in ps.points:
-            fh.write(struct.pack(f"<{pt.dim}d", *pt.as_floats()))
+        fh.write(ps.float_matrix().astype("<f8").tobytes())

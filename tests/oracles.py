@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from haltonlab import halton_point
@@ -27,22 +28,31 @@ def _axis_grid(points: Sequence[Sequence[Fraction]], axis: int) -> list[Fraction
 
 
 def _cells(grids: list[list[Fraction]]):
-    """Yield (lower corner, upper corner) over the product grid."""
-    def rec(i: int, lo: tuple, hi: tuple):
-        if i == len(grids):
-            yield lo, hi
-            return
-        g = grids[i]
-        for a, b in zip(g, g[1:]):
-            yield from rec(i + 1, lo + (a,), hi + (b,))
-    yield from rec(0, (), ())
+    """Yield (lower corner, upper corner, lower corner's grid indices) over
+    the product grid."""
+    for idx in product(*(range(len(g) - 1) for g in grids)):
+        yield (tuple(g[j] for g, j in zip(grids, idx)),
+               tuple(g[j + 1] for g, j in zip(grids, idx)), idx)
 
 
-def _count_at_most(points, corner) -> int:
-    return sum(
-        1 for pt in points
-        if all(Fraction(c) <= v for c, v in zip(pt, corner))
-    )
+def _counts_at_most(points, grids: list[list[Fraction]]) -> dict:
+    """Number of points <= each grid vertex, keyed by the vertex's indices.
+
+    Each point is tallied at its own vertex, then the tallies are summed
+    cumulatively along one axis after another.
+    """
+    where = [{v: j for j, v in enumerate(g)} for g in grids]
+    counts = dict.fromkeys(product(*(range(len(g)) for g in grids)), 0)
+    for pt in points:
+        counts[tuple(w[c] for w, c in zip(where, pt))] += 1
+    # keys run in lexicographic order, so each key's predecessor along an
+    # axis already holds its cumulative count when the key is reached
+    for axis in range(len(grids)):
+        for key in counts:
+            if key[axis]:
+                counts[key] += counts[
+                    key[:axis] + (key[axis] - 1,) + key[axis + 1:]]
+    return counts
 
 
 def piecewise_l2_squared(points: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -56,16 +66,21 @@ def piecewise_l2_squared(points: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(pts)
     s = len(pts[0])
     grids = [_axis_grid(pts, i) for i in range(s)]
+    counts = _counts_at_most(pts, grids)
+    # per axis and grid interval [a, b]: b - a, (b^2 - a^2)/2, (b^3 - a^3)/3
+    pieces = [[(b - a, Fraction(b * b - a * a, 2), Fraction(b ** 3 - a ** 3, 3))
+               for a, b in zip(g, g[1:])] for g in grids]
     total = Fraction(0)
-    for lo, hi in _cells(grids):
-        c = _count_at_most(pts, lo)
+    for _, _, idx in _cells(grids):
+        c = counts[idx]
         area = Fraction(1)
         first = Fraction(1)
         second = Fraction(1)
-        for a, b in zip(lo, hi):
-            area *= b - a
-            first *= Fraction(b * b - a * a, 2)
-            second *= Fraction(b ** 3 - a ** 3, 3)
+        for axis, j in zip(pieces, idx):
+            length, lin, cub = axis[j]
+            area *= length
+            first *= lin
+            second *= cub
         total += c * c * area - 2 * c * n * first + n * n * second
     return total
 
@@ -107,9 +122,10 @@ def star_by_cells(points: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(pts)
     s = len(pts[0])
     grids = [_axis_grid(pts, i) for i in range(s)]
+    counts = _counts_at_most(pts, grids)
     best = Fraction(0)
-    for lo, hi in _cells(grids):
-        c = _count_at_most(pts, lo)
+    for lo, hi, idx in _cells(grids):
+        c = counts[idx]
         vol_lo = Fraction(1)
         vol_hi = Fraction(1)
         for a, b in zip(lo, hi):

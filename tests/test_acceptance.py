@@ -300,7 +300,7 @@ def scaling_study():
         sqrt_ratios = []
         for j in range(4, 17):
             n = 1 << j
-            ps = point_set("halton", (2, 3), q, n, cap=1 << 22)
+            ps = point_set("halton", (2, 3), q, n)
             d2 = math.sqrt(l2_discrepancy_squared(ps, mode="float").value)
             ratios.append(d2 / math.log(n))
             sqrt_ratios.append(d2 / math.sqrt(math.log(n)))

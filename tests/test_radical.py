@@ -8,13 +8,13 @@ from fractions import Fraction
 import pytest
 
 from haltonlab import (
+    EAGER_CAP,
     BasisPair,
     RationalPoint,
     digits,
     first_primes,
     fraction_digits,
     halton_point,
-    halton_stream,
     is_prime,
     load_csv,
     point_set,
@@ -144,7 +144,7 @@ def test_point_set_rejects_bad_counts():
     with pytest.raises(ValueError):
         point_set("halton", (2, 3), -1, 1)
     with pytest.raises(ValueError):
-        point_set("halton", (2, 3), 0, 10, cap=5)
+        point_set("halton", (2, 3), 0, EAGER_CAP + 1)
     with pytest.raises(ValueError):
         point_set("van_der_corput", (2, 3), 0, 1)
     with pytest.raises(ValueError):
@@ -159,10 +159,51 @@ def test_point_set_explicit_wraps_raw_tuples():
     assert ps.points[1].coords == (F(0), F(0))
 
 
-def test_halton_stream_matches_point_set():
-    stream = halton_stream((2, 3), start=7, count=20)
-    ps = point_set("halton", (2, 3), 7, 20)
-    assert [pt.coords for pt in stream] == [pt.coords for pt in ps.points]
+GEN_N = 200
+GEN_BASES = ((2, 3), (2, 3, 5))
+GEN_STARTS = (0, 5 ** 9, 10 ** 9 - GEN_N)
+GENERATED = (
+    [("halton", bases, start) for bases in GEN_BASES for start in GEN_STARTS]
+    + [("van_der_corput", (p,), start) for p in (2, 3, 5)
+       for start in GEN_STARTS]
+    + [("hammersley", bases, 0) for bases in GEN_BASES])
+
+
+@pytest.mark.parametrize("kind, bases, start", GENERATED)
+def test_generated_columns_match_halton_point(kind, bases, start, tmp_path):
+    ps = point_set(kind, bases, start, GEN_N)
+    # The digit-reversal columns against the independent per-point route.
+    for k, pt in enumerate(ps.points):
+        expect = halton_point(start + k, bases).coords
+        if kind == "hammersley":
+            expect += (F(k, GEN_N),)
+        assert pt.coords == expect
+    # One representation, whichever way the same points arrive.
+    explicit = point_set("explicit", bases, points=ps.points)
+    assert (explicit.dens, explicit.cols) == (ps.dens, ps.cols)
+    path = tmp_path / "pts.csv"
+    save_csv(ps, str(path))
+    assert load_csv(str(path)) == ps
+
+
+def test_float_view_is_correctly_rounded():
+    # Numerators far beyond 2^53: one rounding, as float(Fraction) does.
+    big = 3 ** 40
+    pts = [(F(k, big), F(k % 7, 7)) for k in (0, 1, 2 ** 53 + 1, big // 2,
+                                             big - 1, 5 ** 25)]
+    for ps in (point_set("explicit", (2, 3), points=pts),
+               point_set("halton", (2, 3), 10 ** 9 - 50, 50)):
+        got = ps.float_matrix()
+        assert got.shape == (ps.count, 2)
+        for row, pt in zip(got.tolist(), ps.points):
+            assert row == [float(c) for c in pt.coords]
+
+
+def test_explicit_rejects_out_of_range_and_ragged_points():
+    with pytest.raises(ValueError):
+        point_set("explicit", (2, 3), points=[(F(1, 2), F(1))])
+    with pytest.raises(ValueError):
+        point_set("explicit", (2, 3), points=[(F(1, 2), F(1, 3)), (F(1, 2),)])
 
 
 def test_rational_point_rejects_out_of_range():
