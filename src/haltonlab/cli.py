@@ -553,14 +553,13 @@ def cmd_padic_scan(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_common(sp, bases_default="2,3") -> None:
-    sp.add_argument("--bases", type=_parse_bases, default=_parse_bases(bases_default))
+def _add_point_set(sp) -> None:
+    """The flags that pick the point set of generate and discrepancy."""
+    sp.add_argument("--bases", type=_parse_bases, default=(2, 3))
     sp.add_argument("--q", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--mode", choices=("exact", "float"), default="exact")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--v-override", type=int, default=None)
-    sp.add_argument("--vv-override", type=int, default=None)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--kind", choices=("halton", "hammersley", "van_der_corput"),
+                    default="halton")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,26 +571,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a point set as exact CSV")
-    _add_common(g)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--kind", choices=("halton", "hammersley", "van_der_corput"),
-                   default="halton")
+    _add_point_set(g)
+    g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
-    # generate writes through --out; make it required there
-    # (argparse lacks per-subcommand retro-required, so check in runner)
 
     d = sub.add_parser("discrepancy", help="compute one discrepancy metric")
-    _add_common(d)
-    d.add_argument("--n", type=int, required=True)
-    d.add_argument("--kind", choices=("halton", "hammersley", "van_der_corput"),
-                   default="halton")
+    _add_point_set(d)
+    d.add_argument("--mode", choices=("exact", "float"), default="exact")
+    d.add_argument("--out", default=None)
     d.add_argument("--metric", choices=("l2sq", "star", "local"), default="l2sq")
     d.add_argument("--x", type=_parse_fraction_point, default=None,
                    help="box corner for --metric local, e.g. 1/2,2/3")
     d.set_defaults(func=cmd_discrepancy)
 
     sc = sub.add_parser("scaling", help="D2 against log N over a grid")
-    _add_common(sc)
+    sc.add_argument("--bases", type=_parse_bases, default=(2, 3))
+    sc.add_argument("--mode", choices=("exact", "float"), default="exact")
+    sc.add_argument("--out", default=None)
     sc.add_argument("--n-grid", type=_parse_int_list, default=None)
     sc.add_argument("--j-min", type=int, default=4)
     sc.add_argument("--j-max", type=int, default=12)
@@ -600,7 +596,12 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=cmd_scaling)
 
     v = sub.add_parser("verify", help="run identity audit suites")
-    _add_common(v)
+    v.add_argument("--bases", type=_parse_bases, default=(2, 3))
+    v.add_argument("--q", type=int, default=0)
+    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--out", default=None)
+    v.add_argument("--v-override", type=int, default=None)
+    v.add_argument("--vv-override", type=int, default=None)
     v.add_argument("--suite", choices=VERIFY_SUITES + ("all",), default="all")
     v.add_argument("--inject-fault", action="store_true",
                    help="negative control: corrupt one case and expect failure")
@@ -631,8 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "generate" and not args.out:
-        raise SystemExit("generate needs --out PATH")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -24,8 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .radical import BasisPair, PointSet, fraction_digits, point_set
-from .residue import TruncIndex, crt_inverses
+from .radical import (BasisPair, PointSet, _leading_digits, _reverse_digits,
+                      point_set)
+from .residue import ResidueData, TruncIndex, _corner_digits, crt_inverses
 
 EXACT_DEFAULT_MAX = 1 << 12
 
@@ -319,8 +320,7 @@ def truncate_digits(x: Sequence, r: TruncIndex,
             raise ValueError(f"coordinate out of [0, 1]: {xi}")
         if ri < 0:
             raise ValueError(f"depth must be nonnegative, got {ri}")
-        scale = p ** ri
-        out.append(Fraction((xi.numerator * scale) // xi.denominator, scale))
+        out.append(Fraction(_leading_digits(xi, p, ri), p ** ri))
     return tuple(out)
 
 
@@ -345,6 +345,30 @@ def count_in_class(residue: int, q_start: int, n_count: int, modulus: int) -> in
             - (q_start - 1 - residue) // modulus)
 
 
+def _cell_class_sum(k1: int, k2: int, r: TruncIndex, rd: ResidueData,
+                    q_start: int, n_count: int) -> Fraction:
+    """The depth-r layer at a corner whose box-class components are k1, k2.
+
+    k_i is the r_i-digit reversal of the corner's leading digits, so its top
+    digit c_i is the last kept digit and the rest the prefix.  The cells
+    replace c_i by each b_i < c_i; every cell's class contributes its count
+    in the index window minus the expected n_count / P.
+    """
+    p1, p2 = rd.bases.p1, rd.bases.p2
+    g1, g2 = p1 ** (r[0] - 1), p2 ** (r[1] - 1)
+    c1, pre1 = divmod(k1, g1)
+    c2, pre2 = divmod(k2, g2)
+    w1 = rd.M1 * (rd.P // (g1 * p1))
+    w2 = rd.M2 * (rd.P // (g2 * p2))
+    total = 0
+    for b1 in range(c1):
+        part1 = w1 * (pre1 + b1 * g1)
+        for b2 in range(c2):
+            cls = (part1 + w2 * (pre2 + b2 * g2)) % rd.P
+            total += count_in_class(cls, q_start, n_count, rd.P)
+    return total - Fraction(c1 * c2 * n_count, rd.P)
+
+
 def decomposition_term(x: Sequence, r: TruncIndex, q_start: int, n_count: int,
                        bases: BasisPair | Sequence[int]) -> Fraction:
     """One depth-(r1, r2) layer of the truncated-discrepancy decomposition.
@@ -359,32 +383,12 @@ def decomposition_term(x: Sequence, r: TruncIndex, q_start: int, n_count: int,
     if r1 < 1 or r2 < 1:
         raise ValueError(f"layer depths must be >= 1, got {r}")
     p1, p2 = bp.as_tuple()
-    x1, x2 = _as_fractions(x)
-    d1 = fraction_digits(x1, p1, r1)
-    d2 = fraction_digits(x2, p2, r2)
-    c1, c2 = d1[-1], d2[-1]
-    if c1 == 0 or c2 == 0:
+    t1, t2 = _corner_digits(x, (p1, p2), r)
+    if t1 % p1 == 0 or t2 % p2 == 0:
         return Fraction(0)
-    rd = crt_inverses(bp, r)
-    q1, q2 = p1 ** r1, p2 ** r2
-    w1 = rd.M1 * (rd.P // q1)
-    w2 = rd.M2 * (rd.P // q2)
-    pre1 = _digit_value_msbf(d1[: r1 - 1], p1)
-    pre2 = _digit_value_msbf(d2[: r2 - 1], p2)
-    total = 0
-    for b1 in range(c1):
-        part1 = w1 * (pre1 + b1 * p1 ** (r1 - 1))
-        for b2 in range(c2):
-            cls = (part1 + w2 * (pre2 + b2 * p2 ** (r2 - 1))) % rd.P
-            total += count_in_class(cls, q_start, n_count, rd.P)
-    return total - Fraction(c1 * c2 * n_count, rd.P)
-
-
-def _digit_value_msbf(digs: Sequence[int], p: int) -> int:
-    v = 0
-    for d in reversed(digs):
-        v = v * p + d
-    return v
+    return _cell_class_sum(_reverse_digits(t1, p1, r1),
+                           _reverse_digits(t2, p2, r2), r, crt_inverses(bp, r),
+                           q_start, n_count)
 
 
 def decomposition_layers(x: Sequence, q_start: int, n_count: int,

@@ -13,7 +13,6 @@ evaluation per term, so precision is independent of the modulus size.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,15 +22,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .radical import BasisPair, fraction_digits
+from .radical import BasisPair
 from .residue import (
     TruncIndex,
+    _corner_digits,
     corner_residue,
     crt_inverses,
     signed_rep,
     signed_residues,
 )
-from .discrepancy import count_in_class
+from .discrepancy import _cell_class_sum
 
 TINY_SCALE_CAP = 4
 
@@ -51,16 +51,6 @@ def _e_minus_1(t: Fraction) -> complex:
     half = math.pi * float(t)
     s = math.sin(half)
     return 2.0 * s * complex(-math.sin(half), math.cos(half))
-
-
-@dataclass(frozen=True)
-class FourierTerm:
-    """One frequency's contribution pieces, for diagnostic dumps."""
-
-    m: int
-    phi: complex
-    psi: complex
-    phase: Fraction  # corner phase argument, an exact rational mod 1
 
 
 def window_fourier_coefficient(r: TruncIndex, q_start: int, n_count: int,
@@ -115,12 +105,9 @@ def cell_fourier_factor(r: TruncIndex, m: int, x: Sequence,
     window = signed_residues(rd.P)
     if m not in window:
         raise ValueError(f"m must be a signed residue mod {rd.P}, got {m}")
-    r1, r2 = r
-    x1, x2 = Fraction(x[0]), Fraction(x[1])
-    d1 = fraction_digits(x1, bp.p1, r1)[-1] if r1 else 0
-    d2 = fraction_digits(x2, bp.p2, r2)[-1] if r2 else 0
-    f1 = _axis_cell_table(bp.p1, d1)[(m * rd.M1) % bp.p1]
-    f2 = _axis_cell_table(bp.p2, d2)[(m * rd.M2) % bp.p2]
+    t1, t2 = _corner_digits(x, bp.as_tuple(), r)
+    f1 = _axis_cell_table(bp.p1, t1 % bp.p1)[(m * rd.M1) % bp.p1]
+    f2 = _axis_cell_table(bp.p2, t2 % bp.p2)[(m * rd.M2) % bp.p2]
     return f1 * f2
 
 
@@ -137,14 +124,13 @@ def decomposition_term_fourier(x: Sequence, r: TruncIndex, q_start: int,
     if r1 < 1 or r2 < 1:
         raise ValueError(f"layer depths must be >= 1, got {r}")
     rd = crt_inverses(bp, r)
-    x1, x2 = Fraction(x[0]), Fraction(x[1])
-    d1 = fraction_digits(x1, bp.p1, r1)[-1]
-    d2 = fraction_digits(x2, bp.p2, r2)[-1]
+    lead1, lead2 = _corner_digits(x, bp.as_tuple(), r)
+    d1, d2 = lead1 % bp.p1, lead2 % bp.p2
     if d1 == 0 or d2 == 0:
         return 0j
     t1 = _axis_cell_table(bp.p1, d1)
     t2 = _axis_cell_table(bp.p2, d2)
-    corner = corner_residue((x1, x2), r, rd)
+    corner = corner_residue(x, r, rd)
     total = 0j
     for m in signed_residues(rd.P).nonzero():
         phi = _phi(rd.P, q_start, n_count, m)
@@ -153,43 +139,6 @@ def decomposition_term_fourier(x: Sequence, r: TruncIndex, q_start: int,
         psi = t1[(m * rd.M1) % bp.p1] * t2[(m * rd.M2) % bp.p2]
         total += phi * psi * _e(Fraction((-m * corner) % rd.P, rd.P))
     return total
-
-
-def term_table(x: Sequence, r: TruncIndex, q_start: int, n_count: int,
-               bases: BasisPair | Sequence[int]) -> list[FourierTerm]:
-    """Per-frequency diagnostic rows for small moduli."""
-    bp = BasisPair.of(bases)
-    rd = crt_inverses(bp, r)
-    r1, r2 = r
-    x1, x2 = Fraction(x[0]), Fraction(x[1])
-    d1 = fraction_digits(x1, bp.p1, r1)[-1] if r1 else 0
-    d2 = fraction_digits(x2, bp.p2, r2)[-1] if r2 else 0
-    t1 = _axis_cell_table(bp.p1, d1)
-    t2 = _axis_cell_table(bp.p2, d2)
-    corner = corner_residue((x1, x2), r, rd)
-    rows = []
-    for m in signed_residues(rd.P).nonzero():
-        phase = Fraction((-m * corner) % rd.P, rd.P)
-        rows.append(FourierTerm(
-            m=m,
-            phi=_phi(rd.P, q_start, n_count, m),
-            psi=t1[(m * rd.M1) % bp.p1] * t2[(m * rd.M2) % bp.p2],
-            phase=phase,
-        ))
-    return rows
-
-
-def write_term_table_csv(path: str, x: Sequence, r: TruncIndex, q_start: int,
-                         n_count: int, bases: BasisPair | Sequence[int]) -> None:
-    rows = term_table(x, r, q_start, n_count, bases)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "phi_re", "phi_im", "psi_re", "psi_im",
-                    "phase_num", "phase_den"])
-        for t in rows:
-            w.writerow([t.m, repr(t.phi.real), repr(t.phi.imag),
-                        repr(t.psi.real), repr(t.psi.imag),
-                        t.phase.numerator, t.phase.denominator])
 
 
 # ---------------------------------------------------------------------------
@@ -346,34 +295,11 @@ def _partition_pairs(lam: tuple[int, int], n: int, v_threshold: int,
 def _layer_table(br: TruncIndex, q_start: int, n_count: int,
                  bp: BasisPair) -> dict[tuple[int, int], Fraction]:
     """Exact layer value per digit prefix, indexed by per-axis digit codes."""
-    p1, p2 = bp.as_tuple()
-    r1, r2 = br
     rd = crt_inverses(bp, br)
-    q1, q2 = p1 ** r1, p2 ** r2
-    w1 = rd.M1 * (rd.P // q1)
-    w2 = rd.M2 * (rd.P // q2)
-    base = Fraction(n_count, rd.P)
-    table: dict[tuple[int, int], Fraction] = {}
-    for code1 in range(q1):
-        c1, pre1 = divmod(code1, p1 ** (r1 - 1))
-        for code2 in range(q2):
-            c2 = code2 // p2 ** (r2 - 1)
-            pre2 = code2 % p2 ** (r2 - 1)
-            if c1 == 0 or c2 == 0:
-                table[(code1, code2)] = Fraction(0)
-                continue
-            total = 0
-            for b1 in range(c1):
-                part1 = w1 * (pre1 + b1 * p1 ** (r1 - 1))
-                for b2 in range(c2):
-                    cls = (part1 + w2 * (pre2 + b2 * p2 ** (r2 - 1))) % rd.P
-                    total += count_in_class(cls, q_start, n_count, rd.P)
-            table[(code1, code2)] = total - c1 * c2 * base
-    return table
-
-
-def _axis_inverse(rd, axis: int) -> int:
-    return rd.M1 if axis == 0 else rd.M2
+    return {(code1, code2): _cell_class_sum(code1, code2, br, rd, q_start,
+                                            n_count)
+            for code1 in range(bp.p1 ** br[0])
+            for code2 in range(bp.p2 ** br[1])}
 
 
 def second_moment_block(lam: tuple[int, int], n_count: int, q_start: int,
@@ -433,24 +359,6 @@ def _axis_split_weights(p: int, rplus: int, rminus: int) -> np.ndarray:
     return out
 
 
-def _pair_geometry(bp: BasisPair, pair: DepthPair):
-    """Per-axis fold moduli and fold multipliers for a depth pair."""
-    br_1, br_2 = pair
-    rds = (crt_inverses(bp, br_1), crt_inverses(bp, br_2))
-    ps = bp.as_tuple()
-    qs, gaps, mults = [], [], []
-    for i, p in enumerate(ps):
-        t = (br_1[i], br_2[i])
-        rplus, rminus = max(t), min(t)
-        q = p ** rplus
-        k = [(_axis_inverse(rds[j], i) * p ** (rplus - t[j])) % q
-             for j in range(2)]
-        qs.append(q)
-        gaps.append((rplus, rminus))
-        mults.append(k)
-    return rds, qs, gaps, mults
-
-
 def _class_sums(values: np.ndarray, weights: np.ndarray, modulus: int
                 ) -> np.ndarray:
     out = np.zeros(modulus)
@@ -458,30 +366,28 @@ def _class_sums(values: np.ndarray, weights: np.ndarray, modulus: int
     return out
 
 
-def _fold_matrix(mults, qs, pplus: int):
+def _fold_matrix(axes, pplus: int):
     """Folded-frequency class per (class of m1, class of m2) as index arrays."""
     c = np.arange(pplus, dtype=np.int64)
     mats = []
-    for i in range(2):
-        alpha = (-(mults[i][0] * c)) % qs[i]
-        beta = (-(mults[i][1] * c)) % qs[i]
-        mats.append((alpha[:, None] + beta[None, :]) % qs[i])
+    for p, rplus, _, _, _, weights in axes:
+        q = p ** rplus
+        alpha = (-(weights[0] * c)) % q
+        beta = (-(weights[1] * c)) % q
+        mats.append((alpha[:, None] + beta[None, :]) % q)
     return mats
 
 
 def _majorant_pair(bp: BasisPair, pair: DepthPair) -> float:
-    rds, qs, gaps, mults = _pair_geometry(bp, pair)
-    pplus = qs[0] * qs[1]
+    moduli, axes = _plan_of(bp, pair)
+    pplus = math.prod(p ** rplus for p, rplus, *_ in axes)
     ws = []
-    for rd in rds:
-        window = signed_residues(rd.P)
-        ms = np.array([m for m in window.nonzero()], dtype=np.int64)
+    for P in moduli:
+        ms = np.array(list(signed_residues(P).nonzero()), dtype=np.int64)
         ws.append(_class_sums(ms, 1.0 / np.abs(ms), pplus))
-    split_w = [
-        _axis_split_weights(bp.as_tuple()[i], gaps[i][0], gaps[i][1])
-        for i in range(2)
-    ]
-    mats = _fold_matrix(mults, qs, pplus)
+    split_w = [_axis_split_weights(p, rplus, rminus)
+               for p, rplus, rminus, *_ in axes]
+    mats = _fold_matrix(axes, pplus)
     grid = (ws[0][:, None] * ws[1][None, :]
             * split_w[0][mats[0]] * split_w[1][mats[1]])
     return float(grid.sum())
@@ -510,7 +416,6 @@ def resonance_sums(lam: tuple[int, int], bases: BasisPair | Sequence[int],
     pairs = _partition_pairs(tuple(lam), n, v_threshold, vv_threshold)
     if not pairs:
         return (0.0, 0.0)
-    ps = bp.as_tuple()
     star_total = 0.0
     sharp_total = 0.0
     box = np.arange(-m_cap, m_cap + 1, dtype=np.int64)
@@ -518,13 +423,12 @@ def resonance_sums(lam: tuple[int, int], bases: BasisPair | Sequence[int],
     nz = box[box != 0]
     nz_w = 1.0 / np.abs(nz)
     for pair in pairs:
-        rds, qs, gaps, mults = _pair_geometry(bp, pair)
-        pplus = qs[0] * qs[1]
+        axes = _plan_of(bp, pair)[1]
+        pplus = math.prod(p ** rplus for p, rplus, *_ in axes)
         w_m = [_class_sums(nz, nz_w, pplus) for _ in range(2)]
         s_star, s_sharp = [], []
-        for i in range(2):
-            p, q = ps[i], qs[i]
-            rplus, rminus = gaps[i]
+        for p, rplus, rminus, *_ in axes:
+            q = p ** rplus
             sgap = p ** (rplus - rminus)
             g = _class_sums(box, box_w, q)
             sharp_i = np.empty(q)
@@ -542,7 +446,7 @@ def resonance_sums(lam: tuple[int, int], bases: BasisPair | Sequence[int],
                     star_i[target] = 1.0 / (max(1, abs(low)) * max(1, abs(high)))
             s_star.append(star_i)
             s_sharp.append(sharp_i)
-        mats = _fold_matrix(mults, qs, pplus)
+        mats = _fold_matrix(axes, pplus)
         outer = w_m[0][:, None] * w_m[1][None, :]
         star_total += float((outer * s_star[0][mats[0]]
                              * s_star[1][mats[1]]).sum())

@@ -1,10 +1,10 @@
-"""p-adic valuations, rational Weil heights, and desk-scale valuation scans.
+"""p-adic valuations, exponent lifting, and desk-scale valuation scans.
 
 The scan measures how large ord_p(l1 * p_other**b - l2) can get relative to
 the logarithmic sizes of the coefficients and the exponent.  Each reported
-ratio divides the valuation by log2 of the coefficient height and log2 of
-the exponent (both clamped below at 3 so tiny instances cannot blow up the
-quotient), giving a scale-free empirical constant.
+ratio divides the valuation by log2 of the larger of |l1| and |l2| and
+log2 of the exponent (both clamped below at 3 so tiny instances cannot
+blow up the quotient), giving a scale-free empirical constant.
 """
 
 from __future__ import annotations
@@ -42,56 +42,6 @@ def valuation(x: int | Rational, p: int) -> int | float:
     if frac == 0:
         return math.inf
     return valuation(frac.numerator, p) - valuation(frac.denominator, p)
-
-
-class PadicRational:
-    """A reduced fraction with memoized per-prime valuations."""
-
-    __slots__ = ("value", "_cache")
-
-    def __init__(self, value) -> None:
-        self.value = Fraction(value)
-        self._cache: dict[int, int | float] = {}
-
-    @property
-    def num(self) -> int:
-        return self.value.numerator
-
-    @property
-    def den(self) -> int:
-        return self.value.denominator
-
-    def ord(self, p: int) -> int | float:
-        if p not in self._cache:
-            self._cache[p] = valuation(self.value, p)
-        return self._cache[p]
-
-    def height(self) -> float:
-        return weil_height(self.value)
-
-    def __repr__(self) -> str:
-        return f"PadicRational({self.value!r})"
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PadicRational):
-            return self.value == other.value
-        return self.value == other
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-
-def weil_height(x: int | Rational | PadicRational) -> float:
-    """Logarithmic height of a nonzero rational: log max(|numerator|, denominator).
-
-    Symmetric under inversion and zero exactly on 1 and -1.
-    """
-    if isinstance(x, PadicRational):
-        x = x.value
-    frac = Fraction(x)
-    if frac == 0:
-        raise ValueError("height of 0 is undefined here; the scans exclude it")
-    return math.log(max(abs(frac.numerator), frac.denominator))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Digit expansions in integer bases and exact low-discrepancy point generators.
+"""Radical inverses, base-p digits of exact rationals, and point generators.
 
 A point set stores each axis as integer numerators over one common
 denominator.  `fractions.Fraction` points and float coordinates are views
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +60,7 @@ class BasisPair:
         for p in (self.p1, self.p2):
             if not isinstance(p, int) or p < 2:
                 raise ValueError(f"base must be an integer >= 2, got {p!r}")
-        if _gcd(self.p1, self.p2) != 1:
+        if gcd(self.p1, self.p2) != 1:
             raise ValueError(f"bases must be coprime, got ({self.p1}, {self.p2})")
 
     @classmethod
@@ -84,52 +84,15 @@ def _basis_pair(p1: int, p2: int) -> BasisPair:
     return BasisPair(p1, p2)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _check_pairwise_coprime(bases: Sequence[int]) -> None:
     for i in range(len(bases)):
         if bases[i] < 2:
             raise ValueError(f"base must be >= 2, got {bases[i]}")
         for j in range(i + 1, len(bases)):
-            if _gcd(bases[i], bases[j]) != 1:
+            if gcd(bases[i], bases[j]) != 1:
                 raise ValueError(
                     f"bases must be pairwise coprime, got {bases[i]} and {bases[j]}"
                 )
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Base-p digits of a nonnegative integer, least significant first.
-
-    The trailing digit is nonzero unless the value is 0 (empty digit list).
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.base + d
-        return v
-
-
-def digits(n: int, p: int) -> DigitVector:
-    """Expand n >= 0 in base p, least significant digit first."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if p < 2:
-        raise ValueError(f"base must be >= 2, got {p}")
-    out: list[int] = []
-    while n:
-        n, d = divmod(n, p)
-        out.append(d)
-    return DigitVector(base=p, digits=tuple(out))
 
 
 def radical_inverse(n: int, p: int) -> Fraction:
@@ -147,20 +110,21 @@ def radical_inverse(n: int, p: int) -> Fraction:
     return Fraction(rev, scale)
 
 
-def fraction_digits(x: Fraction, p: int, r: int) -> tuple[int, ...]:
-    """First r base-p digits of x in [0, 1), most significant first."""
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError(f"x must lie in [0, 1), got {x}")
-    if r < 0:
-        raise ValueError(f"digit count must be nonnegative, got {r}")
-    num, den = x.numerator, x.denominator
-    out = []
+def _leading_digits(x: Fraction, p: int, r: int) -> int:
+    """floor(x p^r): the first r base-p digits of x read as one integer."""
+    return x.numerator * p ** r // x.denominator
+
+
+def _reverse_digits(t: int, p: int, r: int) -> int:
+    """The r-digit base-p reversal of 0 <= t < p^r.
+
+    Applied to the leading digits of x it weights digit j of x by p^(j-1).
+    """
+    rev = 0
     for _ in range(r):
-        num *= p
-        d, num = divmod(num, den)
-        out.append(d)
-    return tuple(out)
+        t, d = divmod(t, p)
+        rev = rev * p + d
+    return rev
 
 
 @dataclass(frozen=True)
@@ -236,22 +200,20 @@ def _inverse_column(p: int, start: int, count: int
     table of the k-digit reversals serves every block of p^k indices.
     """
     last = start + count - 1
-    den = 1
+    den, width = 1, 0
     while den <= last:
         den *= p
+        width += 1
     block = 1
     table = [0]
     while block * p <= min(count, den):
         table = [d * block + t for t in table for d in range(p)]
         block *= p
+        width -= 1
     scale = den // block
     out: list[int] = []
     for h in range(start // block, last // block + 1):
-        high, n, weight = 0, h, scale
-        while n:
-            n, d = divmod(n, p)
-            weight //= p
-            high += d * weight
+        high = _reverse_digits(h, p, width)
         lo = max(start - h * block, 0)
         hi = min(last - h * block + 1, block)
         out.extend(t * scale + high for t in table[lo:hi])
@@ -319,6 +281,12 @@ def point_set(kind: str, bases: Sequence[int] | int, start: int = 0,
 # ---------------------------------------------------------------------------
 # serialization
 
+def _reduced(a: int, d: int) -> str:
+    """a/d in lowest terms, written the way `Fraction` writes it."""
+    g = gcd(a, d)
+    return f"{a // g}/{d // g}"
+
+
 def save_csv(ps: PointSet, path: str) -> None:
     """Write one point per row as exact num/den strings, with a metadata line."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -326,9 +294,9 @@ def save_csv(ps: PointSet, path: str) -> None:
                  f"start={ps.start} count={ps.count}\n")
         dim = ps.dim
         fh.write(",".join(f"x{i + 1}" for i in range(dim)) + "\n")
-        for pt in ps.points:
-            fh.write(",".join(f"{c.numerator}/{c.denominator}"
-                              for c in pt.coords) + "\n")
+        for row in zip(*ps.cols):
+            fh.write(",".join(_reduced(a, d) for a, d in zip(row, ps.dens))
+                     + "\n")
 
 
 def load_csv(path: str) -> PointSet:

@@ -3,8 +3,8 @@
 A box whose side lengths are p1^-r1 and p2^-r2 aligned to the digit grids
 contains exactly the Halton points whose index lies in one residue class
 modulo P = p1^r1 * p2^r2.  This module computes the two modular inverses that
-define that class, the residue of a box corner, and the per-cell residues used
-by the discrepancy decomposition.
+define that class, the class of a box from the leading digits of its corner,
+and the membership test built on it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .radical import BasisPair, fraction_digits
+from .radical import BasisPair, _leading_digits, _reverse_digits
 
 # (r1, r2): how many base-p1 / base-p2 digits a truncation keeps per axis.
 TruncIndex = tuple[int, int]
@@ -33,11 +33,6 @@ class ResidueData:
     P: int
     M1: int
     M2: int
-
-    def __str__(self) -> str:
-        return (f"ResidueData(p=({self.bases.p1},{self.bases.p2}), "
-                f"r=({self.r[0]},{self.r[1]}), P={self.P}, "
-                f"M1={self.M1}, M2={self.M2})")
 
 
 def crt_inverses(bases: BasisPair | Sequence[int], r: TruncIndex) -> ResidueData:
@@ -60,18 +55,30 @@ def _crt_cached(p1: int, p2: int, r1: int, r2: int) -> ResidueData:
                        M1=m1, M2=m2)
 
 
-def _axis_digits(x: Fraction, p: int, r: int) -> tuple[int, ...]:
-    if x == 1:
-        raise ValueError("coordinate 1 has no digit expansion; truncate first")
-    return fraction_digits(x, p, r)
+def _corner_digits(x: Sequence, bases: tuple[int, int],
+                   r: TruncIndex) -> tuple[int, int]:
+    """floor(x_i p_i^r_i) per axis, for a corner in [0, 1)^2."""
+    out = []
+    for xi, p, ri in zip(map(Fraction, x), bases, r):
+        if xi == 1:
+            raise ValueError(
+                "coordinate 1 has no digit expansion; truncate first")
+        if not 0 <= xi < 1:
+            raise ValueError(f"corner coordinate out of [0, 1): {xi}")
+        if ri < 0:
+            raise ValueError(f"depth must be nonnegative, got {ri}")
+        out.append(_leading_digits(xi, p, ri))
+    return out[0], out[1]
 
 
-def _digit_value(digs: Sequence[int], p: int) -> int:
-    """Weight digit j (most significant first) by p^(j-1)."""
-    v = 0
-    for d in reversed(digs):
-        v = v * p + d
-    return v
+def _box_class(t1: int, t2: int, r: TruncIndex, rd: ResidueData) -> int:
+    """Residue mod P of the Halton indices in the box whose corner has leading
+    digits t_i = floor(x_i p_i^r_i); axis i contributes the r_i-digit
+    reversal of t_i."""
+    p1, p2 = rd.bases.p1, rd.bases.p2
+    r1, r2 = r
+    return (p2 ** r2 * rd.M1 * _reverse_digits(t1, p1, r1)
+            + p1 ** r1 * rd.M2 * _reverse_digits(t2, p2, r2)) % rd.P
 
 
 def corner_residue(x: Sequence[Fraction], r: TruncIndex,
@@ -81,35 +88,7 @@ def corner_residue(x: Sequence[Fraction], r: TruncIndex,
     Each axis contributes the integer formed by its first r_i digits with
     digit j carrying weight p_i^(j-1).
     """
-    p1, p2 = rd.bases.p1, rd.bases.p2
-    r1, r2 = r
-    x1v = _digit_value(_axis_digits(Fraction(x[0]), p1, r1), p1)
-    x2v = _digit_value(_axis_digits(Fraction(x[1]), p2, r2), p2)
-    q1, q2 = p1 ** r1, p2 ** r2
-    return (q2 * rd.M1 * x1v + q1 * rd.M2 * x2v) % rd.P
-
-
-def cell_residue(x: Sequence[Fraction], r: TruncIndex, rd: ResidueData,
-                 b: tuple[int, int]) -> int:
-    """Residue class of the digit cell that replaces each last kept digit by b_i.
-
-    Axis i contributes its first r_i - 1 digits of x_i unchanged with b_i
-    substituted at position r_i; choosing b_i equal to the original digit
-    recovers corner_residue.
-    """
-    p1, p2 = rd.bases.p1, rd.bases.p2
-    r1, r2 = r
-    if r1 < 1 or r2 < 1:
-        raise ValueError(f"cell residues need depths >= 1, got {r}")
-    b1, b2 = b
-    if not (0 <= b1 < p1 and 0 <= b2 < p2):
-        raise ValueError(f"cell digits {b} out of range for bases ({p1},{p2})")
-    d1 = _axis_digits(Fraction(x[0]), p1, r1)
-    d2 = _axis_digits(Fraction(x[1]), p2, r2)
-    pre1 = _digit_value(d1[: r1 - 1], p1) + b1 * p1 ** (r1 - 1)
-    pre2 = _digit_value(d2[: r2 - 1], p2) + b2 * p2 ** (r2 - 1)
-    q1, q2 = p1 ** r1, p2 ** r2
-    return (rd.M1 * (rd.P // q1) * pre1 + rd.M2 * (rd.P // q2) * pre2) % rd.P
+    return _box_class(*_corner_digits(x, rd.bases.as_tuple(), r), r, rd)
 
 
 def in_elementary_interval(k: int, y: Sequence[Fraction], s: TruncIndex,
@@ -123,22 +102,19 @@ def in_elementary_interval(k: int, y: Sequence[Fraction], s: TruncIndex,
     s1, s2 = s
     if s1 < 0 or s2 < 0:
         raise ValueError(f"depths must be nonnegative, got {s}")
-    y1, y2 = Fraction(y[0]), Fraction(y[1])
-    for yi, p, si in ((y1, bp.p1, s1), (y2, bp.p2, s2)):
+    t = []
+    for yi, p, si in zip(map(Fraction, y), bp.as_tuple(), (s1, s2)):
         if not 0 <= yi < 1:
             raise ValueError(f"corner coordinate out of [0, 1): {yi}")
-        if (yi * p ** si).denominator != 1:
+        if yi.numerator * p ** si % yi.denominator:
             raise ValueError(
                 f"corner {yi} is not aligned to the base-{p} grid at depth {si}"
             )
+        t.append(_leading_digits(yi, p, si))
     if s1 == 0 and s2 == 0:
         return True
     rd = crt_inverses(bp, (s1, s2))
-    k1 = _digit_value(fraction_digits(y1, bp.p1, s1), bp.p1)
-    k2 = _digit_value(fraction_digits(y2, bp.p2, s2), bp.p2)
-    q1, q2 = bp.p1 ** s1, bp.p2 ** s2
-    target = (q2 * rd.M1 * k1 + q1 * rd.M2 * k2) % rd.P
-    return k % rd.P == target
+    return k % rd.P == _box_class(t[0], t[1], (s1, s2), rd)
 
 
 @dataclass(frozen=True)
@@ -186,10 +162,3 @@ def signed_rep(a: int, M: int) -> int:
     if c > M // 2:
         c -= M
     return c
-
-
-def delta(M: int, a: int) -> int:
-    """Divisibility indicator: 1 if M divides a, else 0."""
-    if M < 1:
-        raise ValueError(f"modulus must be positive, got {M}")
-    return 1 if a % M == 0 else 0

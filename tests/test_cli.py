@@ -45,6 +45,30 @@ def test_generate_requires_out(capsys):
         main(["generate", "--n", "4"])
 
 
+def test_verbs_reject_flags_they_do_not_read(tmp_path, capsys):
+    out = str(tmp_path / "pts.csv")
+    for argv in (["generate", "--n", "4", "--out", out, "--mode", "float"],
+                 ["generate", "--n", "4", "--out", out, "--seed", "1"],
+                 ["generate", "--n", "4", "--out", out, "--v-override", "1"],
+                 ["generate", "--n", "4", "--out", out, "--vv-override", "1"],
+                 ["discrepancy", "--n", "4", "--seed", "1"],
+                 ["discrepancy", "--n", "4", "--v-override", "1"],
+                 ["discrepancy", "--n", "4", "--vv-override", "1"],
+                 ["scaling", "--n-grid", "16", "--seed", "1"],
+                 ["scaling", "--n-grid", "16", "--v-override", "1"],
+                 ["scaling", "--n-grid", "16", "--vv-override", "1"],
+                 ["verify", "--suite", "padic", "--mode", "float"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    # scaling reads offsets from --q-list only; --q is argparse's prefix
+    # abbreviation of it.
+    code, rep = _run(capsys, ["scaling", "--n-grid", "16", "--q", "7"])
+    assert code == 0
+    assert list(rep["series"]) == ["7"]
+
+
 def test_generate_bad_inputs_exit_2(capsys):
     code = main(["generate", "--n", "4", "--bases", "2,4",
                  "--out", "/dev/null"])

@@ -21,6 +21,7 @@ from haltonlab import (
 )
 
 from oracles import (
+    axis_digits,
     count_below,
     layer_by_direct_count,
     pair_sum_l2_squared,
@@ -225,6 +226,24 @@ def test_truncate_digits_keeps_ones_and_idempotence():
     assert truncate_digits(once, (2, 1), (2, 3)) == once
 
 
+def test_truncate_digits_on_digit_boundaries():
+    # a/p^r is kept whole at depth >= r; 10^-6 below it the floor drops.
+    for p, r in ((2, 6), (3, 4), (5, 4)):
+        q = p ** r
+        for a in (0, 1, q // 2, q - 1):
+            x = F(a, q)
+            bases = (p, 7)
+            for depth in (r, r + 2):
+                assert truncate_digits((x, 0), (depth, 1), bases) == (x, 0)
+            if a:
+                below = x - F(1, 10 ** 6)
+                digs = axis_digits(below, p, r)
+                assert sum(d * p ** (r - 1 - j) for j, d in enumerate(digs)) \
+                    == a - 1
+                assert truncate_digits((below, 0), (r, 1), bases) == (
+                    F(a - 1, q), 0)
+
+
 def test_truncated_discrepancy_full_box():
     assert truncated_discrepancy((1, 1), 0, 2, (2, 3)) == 0
 
@@ -278,6 +297,45 @@ def test_decomposition_term_matches_direct_count():
         x = tuple(F(rng.randrange(0, 729), 729) for _ in range(2))
         assert decomposition_term(x, r, q, n, (2, 3)) == \
             layer_by_direct_count(x, r, q, n, (2, 3))
+
+
+def _depth_pairs(bases, p_cap):
+    return [(r1, r2) for r1 in range(1, 14) for r2 in range(1, 9)
+            if bases[0] ** r1 * bases[1] ** r2 <= p_cap]
+
+
+def test_decomposition_term_matches_direct_count_at_workload_scale():
+    # Denominators up to 10^6, every depth pair with P <= 10^4, offsets up
+    # to 10^6; three corners in four have both last kept digits nonzero.
+    rng = random.Random(271828)
+    for bases in ((2, 3), (2, 5)):
+        for i, r in enumerate(_depth_pairs(bases, 10 ** 4)):
+            q = rng.randrange(0, 10 ** 6 + 1)
+            n = rng.randrange(1, 160)
+            while True:
+                x = tuple(F(rng.randrange(0, d), d) for d in
+                          (rng.randrange(2, 10 ** 6 + 1) for _ in range(2)))
+                last = [axis_digits(xi, p, ri)[-1]
+                        for xi, p, ri in zip(x, bases, r)]
+                if all(last) == (i % 4 != 0):
+                    break
+            assert decomposition_term(x, r, q, n, bases) == \
+                layer_by_direct_count(x, r, q, n, bases)
+
+
+def test_decomposition_term_on_digit_boundaries():
+    # Corners on the grid of depth r, on coarser grids, at 0 and 10^-6 below
+    # a grid line.
+    for bases, r in (((2, 3), (3, 2)), ((2, 5), (4, 2)), ((2, 3), (1, 1))):
+        q1, q2 = bases[0] ** r[0], bases[1] ** r[1]
+        eps = F(1, 10 ** 6)
+        for x in ((F(0), F(0)), (F(q1 - 1, q1), F(q2 - 1, q2)),
+                  (F(1, 2), F(1, bases[1])), (F(q1 // 2, q1), F(q2 // 2, q2)),
+                  (F(q1 - 1, q1) - eps, F(q2 - 1, q2) - eps),
+                  (F(0), F(q2 - 1, q2))):
+            for q in (0, 10 ** 6):
+                assert decomposition_term(x, r, q, 97, bases) == \
+                    layer_by_direct_count(x, r, q, 97, bases)
 
 
 def test_decomposition_term_zero_on_zero_digit():

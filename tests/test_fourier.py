@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 import random
 from fractions import Fraction
@@ -24,9 +23,7 @@ from haltonlab import (
     resonance_sums,
     second_moment_block,
     signed_residues,
-    term_table,
     window_fourier_coefficient,
-    write_term_table_csv,
 )
 
 from oracles import (
@@ -163,27 +160,6 @@ def test_fourier_layer_zero_cases():
     assert abs(z) < 1e-12
     with pytest.raises(ValueError):
         decomposition_term_fourier((F(1, 2), F(1, 3)), (1, 0), 0, 5, (2, 3))
-
-
-def test_term_table_rows_and_csv(tmp_path):
-    x = (F(1, 2), F(2, 3))
-    rows = term_table(x, (1, 1), 3, 7, (2, 3))
-    assert [t.m for t in rows] == [m for m in signed_residues(6).nonzero()]
-    total = sum(t.phi * t.psi * _e(t.phase) for t in rows)
-    direct = decomposition_term_fourier(x, (1, 1), 3, 7, (2, 3))
-    assert abs(total - direct) < 1e-12
-
-    path = tmp_path / "terms.csv"
-    write_term_table_csv(str(path), x, (1, 1), 3, 7, (2, 3))
-    with open(path, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert got[0] == ["m", "phi_re", "phi_im", "psi_re", "psi_im",
-                      "phase_num", "phase_den"]
-    assert len(got) == 1 + len(rows)
-    for row, t in zip(got[1:], rows):
-        assert int(row[0]) == t.m
-        assert float(row[1]) == t.phi.real
-        assert 6 % int(row[6]) == 0
 
 
 # ---------------------------------------------------------------------------

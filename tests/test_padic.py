@@ -1,4 +1,4 @@
-"""Valuations, heights, the linear-form valuation, and coefficient scans."""
+"""Valuations, the linear-form valuation, and coefficient scans."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 
 from haltonlab import (
     LinearFormInstance,
-    PadicRational,
     ScanReport,
     ZeroFormError,
     linear_form_scan,
@@ -19,7 +18,6 @@ from haltonlab import (
     lte_valuation,
     multiplicative_order,
     valuation,
-    weil_height,
 )
 
 from oracles import brute_power_valuation
@@ -52,33 +50,6 @@ def test_valuation_multiplicative():
         x = F(rng.randrange(-500, 500) or 1, rng.randrange(1, 500))
         y = F(rng.randrange(-500, 500) or 1, rng.randrange(1, 500))
         assert valuation(x * y, p) == valuation(x, p) + valuation(y, p)
-
-
-def test_padic_rational_basics():
-    g = PadicRational(F(12, 8))
-    assert (g.num, g.den) == (3, 2)
-    assert g.ord(2) == -1
-    assert g.ord(2) == -1
-    assert g.ord(3) == 1
-    assert g.height() == weil_height(F(3, 2))
-    assert g == F(3, 2)
-    assert PadicRational(7) == PadicRational(F(7))
-    assert hash(PadicRational(7)) == hash(F(7))
-
-
-def test_weil_height_frozen_values():
-    assert weil_height(1) == 0
-    assert weil_height(-1) == 0
-    assert weil_height(F(3, 2)) == math.log(3)
-    assert weil_height(F(1, 7)) == weil_height(7) == math.log(7)
-    assert weil_height(PadicRational(F(3, 2))) == math.log(3)
-
-
-def test_weil_height_rejects_zero():
-    with pytest.raises(ValueError):
-        weil_height(0)
-    with pytest.raises(ValueError):
-        weil_height(PadicRational(0))
 
 
 def test_linear_form_instance_validation():

@@ -1,4 +1,4 @@
-"""Digit expansions, radical inverses, and point-set generation."""
+"""Radical inverses, point-set generation, and serialization."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ from haltonlab import (
     EAGER_CAP,
     BasisPair,
     RationalPoint,
-    digits,
     first_primes,
-    fraction_digits,
     halton_point,
     is_prime,
     load_csv,
@@ -23,35 +21,9 @@ from haltonlab import (
     save_float64,
 )
 
+from oracles import axis_digits
+
 F = Fraction
-
-
-def test_digits_zero_is_empty():
-    dv = digits(0, 2)
-    assert dv.digits == ()
-    assert dv.value == 0
-
-
-def test_digits_hand_expansions():
-    assert digits(5, 2).digits == (1, 0, 1)
-    assert digits(5, 3).digits == (2, 1)
-
-
-def test_digits_round_trip_and_range():
-    for p in (2, 3, 5, 10):
-        for n in range(200):
-            dv = digits(n, p)
-            assert dv.value == n
-            assert all(0 <= d < p for d in dv.digits)
-            if n > 0:
-                assert dv.digits[-1] != 0
-
-
-def test_digits_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        digits(-1, 2)
-    with pytest.raises(ValueError):
-        digits(3, 1)
 
 
 def test_radical_inverse_frozen_values():
@@ -61,15 +33,19 @@ def test_radical_inverse_frozen_values():
 
 
 def test_radical_inverse_matches_digit_reversal():
-    # Cross-route: rebuild the value from the digit vector directly.
+    # Cross-route: the digits of the inverse, read back least significant
+    # first, rebuild n.
     for p in (2, 3, 7):
         for n in range(300):
-            dv = digits(n, p)
-            expect = sum(F(d, p ** (j + 1)) for j, d in enumerate(dv.digits))
+            width = 0
+            while p ** width <= n:
+                width += 1
             got = radical_inverse(n, p)
-            assert got == expect
+            digs = axis_digits(got, p, width)
+            assert sum(d * p ** j for j, d in enumerate(digs)) == n
             assert 0 <= got < 1
-            assert p ** len(dv.digits) % got.denominator == 0 if n else got == 0
+            assert (got * p ** width).denominator == 1
+            assert digs[-1] != 0 if n else got == 0
 
 
 def test_radical_inverse_bijection_onto_grid():
@@ -86,17 +62,9 @@ def test_radical_inverse_prefix_stability():
     for p, m in ((2, 6), (3, 4)):
         q = p ** m
         for k in range(q):
-            a = fraction_digits(radical_inverse(k, p), p, m)
-            b = fraction_digits(radical_inverse(k + q, p), p, m)
+            a = axis_digits(radical_inverse(k, p), p, m)
+            b = axis_digits(radical_inverse(k + q, p), p, m)
             assert a == b
-
-
-def test_fraction_digits_definition():
-    assert fraction_digits(F(5, 8), 2, 3) == (1, 0, 1)
-    assert fraction_digits(F(7, 9), 3, 2) == (2, 1)
-    assert fraction_digits(F(0), 2, 4) == (0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        fraction_digits(F(1), 2, 1)
 
 
 def test_halton_point_frozen_values():
@@ -237,6 +205,21 @@ def test_csv_round_trip(tmp_path):
     header = (tmp_path / "halton.csv").read_text().splitlines()
     assert header[1] == "x1,x2"
     assert header[2] == "0/1,0/1" or header[2].count("/") == 2
+
+
+def test_save_csv_writes_reduced_fractions_from_columns(tmp_path):
+    # k/12 reduces for most k, so every coordinate goes through a gcd.
+    ps = point_set("hammersley", (2, 3), 0, 12)
+    path = tmp_path / "ham.csv"
+    save_csv(ps, str(path))
+    assert "points" not in vars(ps)  # the Fraction view stays unbuilt
+    rows = path.read_text(encoding="utf-8").splitlines()
+    assert rows[:2] == ["# kind=hammersley bases=2,3 start=0 count=12",
+                        "x1,x2,x3"]
+    expect = [",".join(f"{c.numerator}/{c.denominator}" for c in pt.coords)
+              for pt in ps.points]
+    assert rows[2:] == expect
+    assert rows[5] == "3/4,1/9,1/4"
 
 
 def test_save_float64_layout(tmp_path):

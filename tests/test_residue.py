@@ -8,10 +8,8 @@ import pytest
 
 from haltonlab import (
     BasisPair,
-    cell_residue,
     corner_residue,
     crt_inverses,
-    delta,
     halton_point,
     in_elementary_interval,
     signed_rep,
@@ -75,43 +73,62 @@ def test_corner_residue_locates_halton_indices():
             assert corner_residue(pt.coords, r, rd) == k % rd.P
 
 
-def test_cell_residue_consistency_with_corner():
-    from oracles import axis_digits
-    bp = BasisPair(2, 3)
-    for r in ((1, 1), (2, 2), (3, 1)):
-        rd = crt_inverses(bp, r)
-        for k in range(20):
-            pt = halton_point(k + 7, (2, 3))
-            d1 = axis_digits(pt.coords[0], 2, r[0])
-            d2 = axis_digits(pt.coords[1], 3, r[1])
-            b = (d1[r[0] - 1], d2[r[1] - 1])
-            assert cell_residue(pt.coords, r, rd, b) == corner_residue(
-                pt.coords, r, rd)
-
-
-def test_cell_residue_frozen_values():
+def test_corner_residue_rejections():
     rd = crt_inverses((2, 3), (1, 1))
-    assert cell_residue((F(1, 2), F(1, 3)), (1, 1), rd, (0, 0)) == 0
-    rd = crt_inverses((2, 3), (2, 1))
-    assert cell_residue((F(3, 4), F(1, 3)), (2, 1), rd, (0, 0)) == 9
+    for x in ((F(1), F(1, 3)), (F(1, 2), F(1)), (F(-1, 2), F(0)),
+              (F(0), F(4, 3))):
+        with pytest.raises(ValueError):
+            corner_residue(x, (1, 1), rd)
 
 
-def test_cell_residue_against_direct_search():
-    # Class 9 mod 12 above: indices whose point has first digits (1, b1; 0)
-    # with the last base-2 digit replaced by 0 -> x1 in [1/4-ish cell], i.e.
-    # digits (1, 0) -> value 1, so k = 1 mod 4 and k = 0 mod 3.
-    hits = [k for k in range(12) if k % 4 == 1 and k % 3 == 0]
-    assert hits == [9]
+def _box_indices(corner, r, bases):
+    """The indices in [0, P) whose point lies in the depth-r box at corner."""
+    widths = [F(1, p ** ri) for p, ri in zip(bases, r)]
+    P = bases[0] ** r[0] * bases[1] ** r[1]
+    return [k for k in range(P)
+            if all(c <= y < c + w for c, y, w in
+                   zip(corner, halton_point(k, bases).coords, widths))]
 
 
-def test_cell_residue_rejections():
-    rd = crt_inverses((2, 3), (1, 1))
-    with pytest.raises(ValueError):
-        cell_residue((F(0), F(0)), (0, 1), rd, (0, 0))
-    with pytest.raises(ValueError):
-        cell_residue((F(0), F(0)), (1, 1), rd, (2, 0))
-    with pytest.raises(ValueError):
-        cell_residue((F(0), F(0)), (1, 1), rd, (0, 3))
+def test_corner_residue_on_digit_boundaries():
+    # Corners on the grid of depth r, on coarser grids, at 0, and one 10^-6
+    # below a grid line (where the floor drops to the previous cell).
+    for bases, r in (((2, 3), (3, 2)), ((2, 5), (2, 2)), ((2, 3), (1, 3))):
+        rd = crt_inverses(bases, r)
+        q1, q2 = bases[0] ** r[0], bases[1] ** r[1]
+        for a1, a2 in ((0, 0), (1, 1), (q1 - 1, q2 - 1), (q1 // 2, q2 // 3)):
+            corner = (F(a1, q1), F(a2, q2))
+            assert [corner_residue(corner, r, rd)] == \
+                _box_indices(corner, r, bases)
+            if a1 and a2:
+                below = (corner[0] - F(1, 10 ** 6), corner[1] - F(1, 10 ** 6))
+                prev = (F(a1 - 1, q1), F(a2 - 1, q2))
+                assert corner_residue(below, r, rd) == \
+                    corner_residue(prev, r, rd)
+        for coarse in ((F(1, 2), F(0)), (F(0), F(1, bases[1]))):
+            assert [corner_residue(coarse, r, rd)] == \
+                _box_indices(coarse, r, bases)
+
+
+def test_membership_matches_geometry_at_workload_depths():
+    # Depths up to (6, 4) and indices from 10^6: the box around each point,
+    # the boxes on either side of it, and the first and last boxes.
+    for bases in ((2, 3), (2, 5)):
+        for s in ((6, 4), (6, 0), (0, 4), (3, 2), (1, 1)):
+            q = [p ** si for p, si in zip(bases, s)]
+            for k in range(10 ** 6, 10 ** 6 + 40):
+                pt = halton_point(k, bases).coords
+                own = [int(c * qi) for c, qi in zip(pt, q)]
+                for shift in (0, -1, 1):
+                    for cell in ((own[0] + shift, own[1]),
+                                 (own[0], own[1] - shift), (0, 0),
+                                 (q[0] - 1, q[1] - 1)):
+                        cell = [c % qi for c, qi in zip(cell, q)]
+                        y = (F(cell[0], q[0]), F(cell[1], q[1]))
+                        geo = all(yi <= c < yi + F(1, qi)
+                                  for yi, c, qi in zip(y, pt, q))
+                        assert geo == (cell == own)
+                        assert in_elementary_interval(k, y, s, bases) == geo
 
 
 def test_membership_frozen_cases():
@@ -219,18 +236,10 @@ def test_signed_rep_round_trip():
             assert (r - a) % M == 0
 
 
-def test_delta_frozen_values():
-    assert delta(3, 7) == 0
-    assert delta(3, 6) == 1
-    assert delta(1, 5) == 1
-    with pytest.raises(ValueError):
-        delta(0, 1)
-
-
 def test_delta_equals_averaged_exponential_sum():
     # (1/M) sum over the signed window of e(a k / M) is 1 on multiples of M
     # and 0 elsewhere.
     for M in (1, 2, 3, 5, 8, 37, 100):
         for a in range(-2 * M, 2 * M + 1, max(1, M // 3)):
             s = unit_circle_sum(F(a * k, M) for k in signed_residues(M)) / M
-            assert abs(s - delta(M, a)) < 1e-10
+            assert abs(s - (a % M == 0)) < 1e-10
