@@ -49,7 +49,8 @@ SCHEMA_VERSION = "1"
 # Q in {0, 1, 7, 123, 10^6}: observed max lhs/rhs = 0.0064, so the committed
 # bound 1.0 holds with two orders of magnitude to spare.
 MOMENT_RATIO_BOUND = 1.0
-EXACT_GRID_CAP = 1 << 12
+# clt's auto D2 route: the float pair sum up to this size, Monte Carlo above.
+PAIRSUM_MAX = 1 << 12
 
 VERIFY_SUITES = ("membership", "decomposition", "fourier", "moments", "padic")
 
@@ -125,23 +126,16 @@ def cmd_discrepancy(args) -> int:
     }
     if args.metric == "l2sq":
         val = l2_discrepancy_squared(ps, mode=args.mode)
-        if isinstance(val.value, Fraction):
-            report["value_num"] = val.value.numerator
-            report["value_den"] = val.value.denominator
-        report["value_f64"] = val.as_float()
     elif args.metric == "star":
         val = star_discrepancy(ps)
-        report["value_num"] = val.value.numerator
-        report["value_den"] = val.value.denominator
-        report["value_f64"] = val.as_float()
     else:
         if args.x is None:
             raise SystemExit("local metric needs --x num/den,num/den")
         val = local_discrepancy(args.x, ps, mode=args.mode)
-        if isinstance(val.value, Fraction):
-            report["value_num"] = val.value.numerator
-            report["value_den"] = val.value.denominator
-        report["value_f64"] = val.as_float()
+    if isinstance(val.value, Fraction):
+        report["value_num"] = val.value.numerator
+        report["value_den"] = val.value.denominator
+    report["value_f64"] = val.as_float()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, sort_keys=True) + "\n")
@@ -169,19 +163,9 @@ def cmd_scaling(args) -> int:
         2 ** j for j in range(args.j_min, args.j_max + 1))
     if any(n < 2 for n in grid):
         raise SystemExit("scaling needs N >= 2 (log N normalization)")
-    if args.mode == "exact" and grid[-1] > EXACT_GRID_CAP:
-        raise SystemExit(
-            f"exact mode is budgeted for N <= {EXACT_GRID_CAP}; "
-            "pass --mode float for larger grids"
-        )
     rows: list[ScalingRow] = []
-    partial = False
-    start = time.perf_counter()
     for q in args.q_list:
         for n in grid:
-            if args.budget_s is not None and time.perf_counter() - start > args.budget_s:
-                partial = True
-                break
             ps = point_set("halton", args.bases, q, n)
             t0 = time.perf_counter()
             d2sq = l2_discrepancy_squared(ps, mode=args.mode).as_float()
@@ -192,8 +176,6 @@ def cmd_scaling(args) -> int:
                 n=n, q=q, d2=d2, d2_over_logn=d2 / ln,
                 d2_over_sqrtlogn=d2 / math.sqrt(ln), wall_time_ms=wall,
             ))
-        if partial:
-            break
     rows.sort(key=lambda r: (r.q, r.n))
 
     if args.out:
@@ -210,7 +192,6 @@ def cmd_scaling(args) -> int:
         "mode": args.mode,
         "log_base": "e",
         "rows": len(rows),
-        "partial": partial,
         "series": {},
     }
     for q in args.q_list:
@@ -223,8 +204,6 @@ def cmd_scaling(args) -> int:
             "mean_ratio": float(np.mean(ratios)),
             "min_sqrt_ratio": min(r.d2_over_sqrtlogn for r in rows if r.q == q),
         }
-    if partial:
-        summary["warning"] = "budget exceeded; table truncated"
     _emit(summary)
     return 0
 
@@ -471,7 +450,7 @@ def cmd_clt(args) -> int:
     ps = point_set("hammersley", bases, 0, n)
     pts = ps.float_matrix()
 
-    if args.d2_mode == "pairsum" or (args.d2_mode == "auto" and n <= EXACT_GRID_CAP):
+    if args.d2_mode == "pairsum" or (args.d2_mode == "auto" and n <= PAIRSUM_MAX):
         d2sq = l2_discrepancy_squared(ps, mode="float").as_float()
         d2_mode_used = "pairsum"
         norm_draws = 0
@@ -567,15 +546,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="haltonlab",
         description="Low-discrepancy point sets and their exact discrepancy "
                     "decompositions.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a point set as exact CSV")
+    g = sub.add_parser("generate", help="write a point set as exact CSV",
+                       allow_abbrev=False)
     _add_point_set(g)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
-    d = sub.add_parser("discrepancy", help="compute one discrepancy metric")
+    d = sub.add_parser("discrepancy", help="compute one discrepancy metric",
+                       allow_abbrev=False)
     _add_point_set(d)
     d.add_argument("--mode", choices=("exact", "float"), default="exact")
     d.add_argument("--out", default=None)
@@ -584,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="box corner for --metric local, e.g. 1/2,2/3")
     d.set_defaults(func=cmd_discrepancy)
 
-    sc = sub.add_parser("scaling", help="D2 against log N over a grid")
+    sc = sub.add_parser("scaling", help="D2 against log N over a grid",
+                        allow_abbrev=False)
     sc.add_argument("--bases", type=_parse_bases, default=(2, 3))
     sc.add_argument("--mode", choices=("exact", "float"), default="exact")
     sc.add_argument("--out", default=None)
@@ -592,10 +575,10 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--j-min", type=int, default=4)
     sc.add_argument("--j-max", type=int, default=12)
     sc.add_argument("--q-list", type=_parse_int_list, default=(0,))
-    sc.add_argument("--budget-s", type=float, default=None)
     sc.set_defaults(func=cmd_scaling)
 
-    v = sub.add_parser("verify", help="run identity audit suites")
+    v = sub.add_parser("verify", help="run identity audit suites",
+                       allow_abbrev=False)
     v.add_argument("--bases", type=_parse_bases, default=(2, 3))
     v.add_argument("--q", type=int, default=0)
     v.add_argument("--seed", type=int, default=0)
@@ -607,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="negative control: corrupt one case and expect failure")
     v.set_defaults(func=cmd_verify)
 
-    c = sub.add_parser("clt", help="normalized local-discrepancy sampling")
+    c = sub.add_parser("clt", help="normalized local-discrepancy sampling",
+                       allow_abbrev=False)
     c.add_argument("--s", type=int, default=3,
                    help="Halton dimension; the sampled set has s+1 axes")
     c.add_argument("--n", type=int, default=1 << 12)
@@ -618,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_clt)
 
-    p = sub.add_parser("padic-scan", help="valuation sweep of two-prime forms")
+    p = sub.add_parser("padic-scan", help="valuation sweep of two-prime forms",
+                       allow_abbrev=False)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--p-other", type=int, default=3)
     p.add_argument("--l-max", type=int, default=10)

@@ -10,8 +10,8 @@ The L2 pair-sum identity used throughout:
 Exact mode evaluates it in integer arithmetic on the point set's per-axis
 numerators and denominators, by one sort-and-sweep pair sum at every size,
 offset and axis count.  Float mode evaluates it with numpy in fixed-order
-blocks, accumulating partial sums in extended precision, so results are
-run-to-run identical.
+blocks of float64 products, accumulating block sums in extended precision,
+so results are run-to-run identical.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ class DiscrepancyValue:
 
     def as_float(self) -> float:
         return float(self.value)
-
-    def to_json_dict(self) -> dict:
-        if self.mode == "exact":
-            v = Fraction(self.value)
-            return {"mode": "exact", "value_num": v.numerator,
-                    "value_den": v.denominator}
-        return {"mode": "float", "value_f64": float(self.value)}
 
 
 def _as_fractions(x: Sequence) -> tuple[Fraction, ...]:
@@ -166,14 +159,11 @@ def _pair_sum(a: list[tuple[int, ...]], b: list[tuple[int, ...]]) -> int:
 def _pair_sum_float(cols_f: list[np.ndarray]) -> np.longdouble:
     """Blocked float pair sum of prod_i (1 - max(x_ki, x_li)), fixed order.
 
-    Up to 2^12 points the products themselves are carried in extended
-    precision so the float route stays within 1e-10 of the exact route on
-    the full overlap range; beyond that the products are float64 and only
-    the block accumulator is extended.
+    The products are float64 and each block's sum is accumulated in
+    extended precision.
     """
     n = len(cols_f[0])
-    dtype = np.longdouble if n <= EXACT_DEFAULT_MAX else np.float64
-    comp = [(1.0 - col).astype(dtype) for col in cols_f]
+    comp = [1.0 - col for col in cols_f]
     row_block, col_block = 256, 4096
     acc = np.longdouble(0.0)
     for r0 in range(0, n, row_block):

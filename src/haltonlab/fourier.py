@@ -304,8 +304,8 @@ def _layer_table(br: TruncIndex, q_start: int, n_count: int,
 
 def second_moment_block(lam: tuple[int, int], n_count: int, q_start: int,
                         bases: BasisPair | Sequence[int], n: int,
-                        v_threshold: int, vv_threshold: int,
-                        cap: int = TINY_SCALE_CAP) -> tuple[float, float]:
+                        v_threshold: int, vv_threshold: int
+                        ) -> tuple[float, float]:
     """Exact |block integral| of layer products against its harmonic majorant.
 
     The left side integrates, over the unit square, the sum of layer products
@@ -315,8 +315,8 @@ def second_moment_block(lam: tuple[int, int], n_count: int, q_start: int,
     product of reciprocal split-coefficient magnitudes.  Returns (lhs, rhs).
     """
     bp = BasisPair.of(bases)
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the tiny-scale cap {cap}")
+    if n > TINY_SCALE_CAP:
+        raise ValueError(f"n = {n} exceeds the tiny-scale cap {TINY_SCALE_CAP}")
     if n_count < 1:
         raise ValueError(f"count must be >= 1, got {n_count}")
     pairs = _partition_pairs(tuple(lam), n, v_threshold, vv_threshold)
@@ -395,8 +395,7 @@ def _majorant_pair(bp: BasisPair, pair: DepthPair) -> float:
 
 def resonance_sums(lam: tuple[int, int], bases: BasisPair | Sequence[int],
                    n: int, v_threshold: int, vv_threshold: int,
-                   m_cap: int | None = None,
-                   cap: int = TINY_SCALE_CAP) -> tuple[float, float]:
+                   m_cap: int | None = None) -> tuple[float, float]:
     """Windowed and unconstrained harmonic sums over resonant frequencies.
 
     Both sums run over frequency pairs (m1, m2) with 0 < |m_j| <= m_cap and
@@ -407,8 +406,8 @@ def resonance_sums(lam: tuple[int, int], bases: BasisPair | Sequence[int],
     +-m_cap box.  Windowed <= unconstrained always.  Returns the pair.
     """
     bp = BasisPair.of(bases)
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the tiny-scale cap {cap}")
+    if n > TINY_SCALE_CAP:
+        raise ValueError(f"n = {n} exceeds the tiny-scale cap {TINY_SCALE_CAP}")
     if m_cap is None:
         m_cap = min(n ** 10, 10 ** 4)
     if m_cap < 1:

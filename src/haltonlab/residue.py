@@ -86,8 +86,10 @@ def corner_residue(x: Sequence[Fraction], r: TruncIndex,
     """Residue class mod P of the Halton indices landing at the truncated corner.
 
     Each axis contributes the integer formed by its first r_i digits with
-    digit j carrying weight p_i^(j-1).
+    digit j carrying weight p_i^(j-1).  r must be the depths rd was built for.
     """
+    if tuple(r) != rd.r:
+        raise ValueError(f"depths {tuple(r)} do not match rd.r = {rd.r}")
     return _box_class(*_corner_digits(x, rd.bases.as_tuple(), r), r, rd)
 
 

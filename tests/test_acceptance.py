@@ -301,7 +301,7 @@ def scaling_study():
         for j in range(4, 17):
             n = 1 << j
             ps = point_set("halton", (2, 3), q, n)
-            d2 = math.sqrt(l2_discrepancy_squared(ps, mode="float").value)
+            d2 = math.sqrt(l2_discrepancy_squared(ps, mode="exact").value)
             ratios.append(d2 / math.log(n))
             sqrt_ratios.append(d2 / math.sqrt(math.log(n)))
         slope = float(np.polyfit(np.arange(len(ratios)), ratios, 1)[0])

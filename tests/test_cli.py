@@ -57,16 +57,14 @@ def test_verbs_reject_flags_they_do_not_read(tmp_path, capsys):
                  ["scaling", "--n-grid", "16", "--seed", "1"],
                  ["scaling", "--n-grid", "16", "--v-override", "1"],
                  ["scaling", "--n-grid", "16", "--vv-override", "1"],
-                 ["verify", "--suite", "padic", "--mode", "float"]):
+                 ["verify", "--suite", "padic", "--mode", "float"],
+                 # prefixes of --q-list and --inject-fault are not flags
+                 ["scaling", "--n-grid", "16", "--q", "7"],
+                 ["verify", "--inject"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-    # scaling reads offsets from --q-list only; --q is argparse's prefix
-    # abbreviation of it.
-    code, rep = _run(capsys, ["scaling", "--n-grid", "16", "--q", "7"])
-    assert code == 0
-    assert list(rep["series"]) == ["7"]
 
 
 def test_generate_bad_inputs_exit_2(capsys):
@@ -110,14 +108,36 @@ def test_discrepancy_float_mode(capsys):
     assert math.isclose(rep["value_f64"], float(exact), rel_tol=1e-10)
 
 
+def test_discrepancy_report_layout(capsys):
+    # Every metric reports value_f64; exact values add their numerator and
+    # denominator.  star is exact whatever --mode says.
+    common = {"schema_version", "command", "metric", "mode", "kind", "bases",
+              "q", "n", "value_f64"}
+    exact = common | {"value_num", "value_den"}
+    for extra, mode, keys in (([], "exact", exact), ([], "float", common),
+                              (["--metric", "star"], "float", exact),
+                              (["--metric", "local", "--x", "1/2,2/3"],
+                               "exact", exact),
+                              (["--metric", "local", "--x", "1/2,2/3"],
+                               "float", common)):
+        code, rep = _run(capsys, ["discrepancy", "--n", "32", "--mode", mode]
+                         + extra)
+        assert code == 0
+        assert set(rep) == keys
+        if "value_num" in rep:
+            assert rep["value_f64"] == float(
+                F(rep["value_num"], rep["value_den"]))
+
+
 def test_scaling_json_and_csv(tmp_path, capsys):
     path = tmp_path / "scale.csv"
     code, rep = _run(capsys, [
         "scaling", "--n-grid", "16,32,64", "--out", str(path)])
     assert code == 0
+    assert set(rep) == {"schema_version", "command", "bases", "mode",
+                        "log_base", "rows", "series"}
     assert rep["log_base"] == "e"
     assert rep["rows"] == 3
-    assert not rep["partial"]
     series = rep["series"]["0"]
     assert series["count"] == 3
     assert set(series) == {"count", "slope", "mean_ratio", "min_sqrt_ratio"}
@@ -147,18 +167,12 @@ def test_scaling_determinism(tmp_path, capsys):
 
 
 def test_scaling_guards(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main(["scaling", "--n-grid", "8192", "--mode", "exact"])
+    code, rep = _run(capsys, ["scaling", "--n-grid", "8192",
+                              "--mode", "exact"])
+    assert code == 0
+    assert rep["rows"] == 1
     with pytest.raises(SystemExit):
         main(["scaling", "--n-grid", "1,16"])
-
-
-def test_scaling_budget_truncates(capsys):
-    code, rep = _run(capsys, ["scaling", "--n-grid", "16,32",
-                              "--budget-s", "0"])
-    assert code == 0
-    assert rep["partial"] is True
-    assert "warning" in rep
 
 
 def test_verify_all_passes(capsys):

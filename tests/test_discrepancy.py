@@ -117,8 +117,9 @@ def test_l2_matches_piecewise_integration():
 
 
 def test_l2_float_tracks_exact_closely():
-    for n in (256, 1024, 2048, 4096):
-        ps = _halton(n)
+    sets = [_halton(n) for n in (256, 1024, 2048, 4096, 8192)]
+    sets.append(point_set("hammersley", (2, 3, 5), 0, 4096))
+    for ps in sets:
         exact = l2_discrepancy_squared(ps, mode="exact").value
         approx = l2_discrepancy_squared(ps, mode="float").value
         assert abs(approx - float(exact)) <= 1e-10 * float(exact)

@@ -79,6 +79,9 @@ def test_corner_residue_rejections():
               (F(0), F(4, 3))):
         with pytest.raises(ValueError):
             corner_residue(x, (1, 1), rd)
+    # depths that differ from the ones rd was built for
+    with pytest.raises(ValueError):
+        corner_residue((F(3, 4), F(1, 3)), (2, 1), rd)
 
 
 def _box_indices(corner, r, bases):
