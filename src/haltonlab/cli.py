@@ -118,7 +118,6 @@ def cmd_discrepancy(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "discrepancy",
         "metric": args.metric,
-        "mode": args.mode,
         "kind": args.kind,
         "bases": list(args.bases),
         "q": args.q,
@@ -132,6 +131,7 @@ def cmd_discrepancy(args) -> int:
         if args.x is None:
             raise SystemExit("local metric needs --x num/den,num/den")
         val = local_discrepancy(args.x, ps, mode=args.mode)
+    report["mode"] = val.mode
     if isinstance(val.value, Fraction):
         report["value_num"] = val.value.numerator
         report["value_den"] = val.value.denominator

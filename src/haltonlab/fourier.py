@@ -7,8 +7,10 @@ that sit the digit-split of a frequency into signed windows, the partition of
 depth pairs by spread, the exact second-moment block integral with its
 harmonic majorant, and the windowed/unconstrained resonance sums.
 
-All phases are reduced to exact rationals mod 1 before a single trigonometric
-evaluation per term, so precision is independent of the modulus size.
+Phases are reduced exactly, in integers mod P, and then evaluated with one
+vectorised trigonometric pass per frequency array: a layer sums its P - 1
+frequencies over int64 and float64 arrays of up to 4096 entries.  Residue
+products stay inside int64 for P < 2^31; larger moduli raise ValueError.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 from .radical import BasisPair
 from .residue import (
     TruncIndex,
+    _box_class,
     _corner_digits,
-    corner_residue,
     crt_inverses,
     signed_rep,
     signed_residues,
@@ -35,22 +37,40 @@ from .discrepancy import _cell_class_sum
 
 TINY_SCALE_CAP = 4
 
+# Frequency arrays hold residues below P and multipliers |m| <= P/2, so every
+# product stays below P^2 < 2^62, inside int64, for P below this cap.
+PHASE_MODULUS_CAP = 1 << 31
+# Frequencies per array in a layer sum, so temporaries stay small at any P.
+FREQUENCY_BLOCK = 1 << 12
+
 DepthPair = tuple[TruncIndex, TruncIndex]
 
 
-def _e(t: Fraction) -> complex:
-    """exp(2*pi*i*t) for an exact rational t, reduced mod 1 first."""
-    t -= math.floor(t)
-    arg = 2.0 * math.pi * float(t)
-    return complex(math.cos(arg), math.sin(arg))
+def _check_phase_modulus(P: int) -> None:
+    if P >= PHASE_MODULUS_CAP:
+        raise ValueError(f"modulus {P} is not below 2^31: residue products "
+                         f"would overflow int64")
 
 
-def _e_minus_1(t: Fraction) -> complex:
-    """exp(2*pi*i*t) - 1 without cancellation: 2i*sin(pi*t)*exp(i*pi*t)."""
-    t -= math.floor(t)
-    half = math.pi * float(t)
-    s = math.sin(half)
-    return 2.0 * s * complex(-math.sin(half), math.cos(half))
+def _half_turns(k: np.ndarray, P: int) -> np.ndarray:
+    """exp(i*pi*k/P) for integers k already reduced exactly."""
+    return np.exp(1j * np.pi * (k / P))
+
+
+def _window_terms(P: int, q_start: int, n_count: int, m: np.ndarray,
+                  shift: int = 0) -> np.ndarray:
+    """phi(m) * e(-m*shift/P) for an int64 array of nonzero signed residues m.
+
+    phi(m) = e(m*q/P) * (e(m*N/P) - 1) / (P * (e(m/P) - 1)) and
+    e(a/P) - 1 = 2i*sin(pi*a/P)*exp(i*pi*a/P) for every representative a,
+    so the term is sin(pi*a/P) / (P*sin(pi*m/P)) * exp(i*pi*k/P) with a the
+    signed residue of m*N mod P and k = 2*m*(q - shift) + a - m mod 2P.
+    """
+    h = (P - 1) // 2
+    a = (m * (n_count % P) + h) % P - h
+    k = (2 * (m * ((q_start - shift) % P) % P) + a - m) % (2 * P)
+    return (np.sin(np.pi * (a / P)) / (P * np.sin(np.pi * (m / P)))
+            * _half_turns(k, P))
 
 
 def window_fourier_coefficient(r: TruncIndex, q_start: int, n_count: int,
@@ -67,30 +87,22 @@ def window_fourier_coefficient(r: TruncIndex, q_start: int, n_count: int,
         raise ValueError(f"m must be a nonzero signed residue mod {rd.P}, got {m}")
     if n_count < 1:
         raise ValueError(f"count must be >= 1, got {n_count}")
-    return _phi(rd.P, q_start, n_count, m)
+    _check_phase_modulus(rd.P)
+    return complex(_window_terms(rd.P, q_start, n_count,
+                                 np.array([m], dtype=np.int64))[0])
 
 
-def _phi(P: int, q_start: int, n_count: int, m: int) -> complex:
-    m_n = (m * n_count) % P
-    if m_n == 0:
-        return 0j
-    lead = _e(Fraction((m * q_start) % P, P))
-    num = _e_minus_1(Fraction(m_n, P))
-    den = _e_minus_1(Fraction(m % P, P))
-    return lead * num / (P * den)
-
-
-def _axis_cell_table(p: int, last_digit: int) -> list[complex]:
+@lru_cache(maxsize=256)
+def _axis_cell_table(p: int, last_digit: int) -> np.ndarray:
     """Digit-cell factor per class c of (m * M) mod p, for one axis.
 
-    Entry c holds sum over b < last_digit of e((-c * (b - last_digit)) / p).
+    Entry c holds sum over b < last_digit of e(c * (last_digit - b) / p).
+    The array is shared by every caller, so it is read-only.
     """
-    table = []
-    for c in range(p):
-        acc = 0j
-        for b in range(last_digit):
-            acc += _e(Fraction((-c * (b - last_digit)) % p, p))
-        table.append(acc)
+    c = np.arange(p, dtype=np.int64)[:, None]
+    j = np.arange(1, last_digit + 1, dtype=np.int64)[None, :]
+    table = _half_turns(2 * c * j % (2 * p), p).sum(axis=1)
+    table.setflags(write=False)
     return table
 
 
@@ -108,7 +120,7 @@ def cell_fourier_factor(r: TruncIndex, m: int, x: Sequence,
     t1, t2 = _corner_digits(x, bp.as_tuple(), r)
     f1 = _axis_cell_table(bp.p1, t1 % bp.p1)[(m * rd.M1) % bp.p1]
     f2 = _axis_cell_table(bp.p2, t2 % bp.p2)[(m * rd.M2) % bp.p2]
-    return f1 * f2
+    return complex(f1 * f2)
 
 
 def decomposition_term_fourier(x: Sequence, r: TruncIndex, q_start: int,
@@ -116,28 +128,32 @@ def decomposition_term_fourier(x: Sequence, r: TruncIndex, q_start: int,
                                bases: BasisPair | Sequence[int]) -> complex:
     """Fourier evaluation of one decomposition layer.
 
-    Agrees with the direct counting route up to floating round-off; the
-    imaginary part is round-off only.
+    Sums the P - 1 frequencies in one pass over int64 and float arrays,
+    a block of them at a time; needs P < 2^31.  Agrees with the direct
+    counting route up to floating round-off; the imaginary part is
+    round-off only.
     """
     bp = BasisPair.of(bases)
     r1, r2 = r
     if r1 < 1 or r2 < 1:
         raise ValueError(f"layer depths must be >= 1, got {r}")
     rd = crt_inverses(bp, r)
+    _check_phase_modulus(rd.P)
     lead1, lead2 = _corner_digits(x, bp.as_tuple(), r)
     d1, d2 = lead1 % bp.p1, lead2 % bp.p2
     if d1 == 0 or d2 == 0:
         return 0j
-    t1 = _axis_cell_table(bp.p1, d1)
-    t2 = _axis_cell_table(bp.p2, d2)
-    corner = corner_residue(x, r, rd)
+    P = rd.P
+    t1, t2 = _axis_cell_table(bp.p1, d1), _axis_cell_table(bp.p2, d2)
+    corner = _box_class(lead1, lead2, r, rd)
     total = 0j
-    for m in signed_residues(rd.P).nonzero():
-        phi = _phi(rd.P, q_start, n_count, m)
-        if phi == 0j:
-            continue
-        psi = t1[(m * rd.M1) % bp.p1] * t2[(m * rd.M2) % bp.p2]
-        total += phi * psi * _e(Fraction((-m * corner) % rd.P, rd.P))
+    for lo in range(-((P - 1) // 2), P // 2 + 1, FREQUENCY_BLOCK):
+        m = np.arange(lo, min(lo + FREQUENCY_BLOCK, P // 2 + 1), dtype=np.int64)
+        m = m[m != 0]
+        psi = (t1[m * (rd.M1 % bp.p1) % bp.p1]
+               * t2[m * (rd.M2 % bp.p2) % bp.p2])
+        total += complex((_window_terms(P, q_start, n_count, m, corner)
+                          * psi).sum())
     return total
 
 

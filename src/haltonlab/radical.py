@@ -314,9 +314,3 @@ def load_csv(path: str) -> PointSet:
     dens, cols = _exact_columns(rows, dim)
     return PointSet(dens, cols, bases, int(meta["start"]), int(meta["count"]),
                     meta["kind"])
-
-
-def save_float64(ps: PointSet, path: str) -> None:
-    """Write coordinates as little-endian float64, row-major, no header."""
-    with open(path, "wb") as fh:
-        fh.write(ps.float_matrix().astype("<f8").tobytes())

@@ -10,6 +10,7 @@ evidence rather than tautology.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -206,6 +207,65 @@ def truncated_discrepancy_by_count(x, q_start: int, n_count: int,
            for k in range(q_start, q_start + n_count)]
     cnt = count_below(pts, corner)
     return cnt - n_count * corner[0] * corner[1]
+
+
+# ---------------------------------------------------------------------------
+# Fourier layer oracle (one frequency at a time, exact rational phases)
+
+def _e_frac(t: Fraction) -> complex:
+    """exp(2*pi*i*t) for an exact rational t, reduced mod 1 first."""
+    t -= math.floor(t)
+    arg = 2.0 * math.pi * float(t)
+    return complex(math.cos(arg), math.sin(arg))
+
+
+def _e_frac_minus_1(t: Fraction) -> complex:
+    """exp(2*pi*i*t) - 1 without cancellation: 2i*sin(pi*t)*exp(i*pi*t)."""
+    t -= math.floor(t)
+    half = math.pi * float(t)
+    s = math.sin(half)
+    return 2.0 * s * complex(-math.sin(half), math.cos(half))
+
+
+def term_fourier_by_loop(x, r, q_start: int, n_count: int, bases) -> complex:
+    """One decomposition layer as its exponential sum, frequency by frequency.
+
+    For each nonzero signed residue m mod P = p1^r1 * p2^r2: the window
+    coefficient (1/P) * sum_k e(m*k/P) in closed form, times the digit-cell
+    factor of each axis, times the corner phase e(-m*c/P).  Every phase is
+    an exact Fraction reduced mod 1 before one cos/sin.  The corner class c
+    comes from the digits by brute-force inverses, not from the library.
+    """
+    p1, p2 = bases
+    r1, r2 = r
+    q1, q2 = p1 ** r1, p2 ** r2
+    big_p = q1 * q2
+    dig1 = axis_digits(Fraction(x[0]), p1, r1)
+    dig2 = axis_digits(Fraction(x[1]), p2, r2)
+    d1, d2 = dig1[-1], dig2[-1]
+    if d1 == 0 or d2 == 0:
+        return 0j
+    inv1, inv2 = brute_inverse(q2 % q1, q1), brute_inverse(q1 % q2, q2)
+    rev1 = sum(d * p1 ** j for j, d in enumerate(dig1))
+    rev2 = sum(d * p2 ** j for j, d in enumerate(dig2))
+    corner = (q2 * inv1 * rev1 + q1 * inv2 * rev2) % big_p
+
+    def cells(p, last):
+        return [sum((_e_frac(Fraction((-c * (b - last)) % p, p))
+                     for b in range(last)), 0j) for c in range(p)]
+
+    t1, t2 = cells(p1, d1), cells(p2, d2)
+    total = 0j
+    for m in signed_window(big_p):
+        m_n = (m * n_count) % big_p
+        if m == 0 or m_n == 0:
+            continue
+        phi = (_e_frac(Fraction((m * q_start) % big_p, big_p))
+               * _e_frac_minus_1(Fraction(m_n, big_p))
+               / (big_p * _e_frac_minus_1(Fraction(m % big_p, big_p))))
+        psi = t1[(m * inv1) % p1] * t2[(m * inv2) % p2]
+        total += phi * psi * _e_frac(Fraction((-m * corner) % big_p, big_p))
+    return total
 
 
 # ---------------------------------------------------------------------------

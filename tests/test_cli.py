@@ -110,7 +110,8 @@ def test_discrepancy_float_mode(capsys):
 
 def test_discrepancy_report_layout(capsys):
     # Every metric reports value_f64; exact values add their numerator and
-    # denominator.  star is exact whatever --mode says.
+    # denominator.  star is exact whatever --mode says, and "mode" names
+    # how the value was computed.
     common = {"schema_version", "command", "metric", "mode", "kind", "bases",
               "q", "n", "value_f64"}
     exact = common | {"value_num", "value_den"}
@@ -124,6 +125,7 @@ def test_discrepancy_report_layout(capsys):
                          + extra)
         assert code == 0
         assert set(rep) == keys
+        assert rep["mode"] == ("exact" if keys == exact else "float")
         if "value_num" in rep:
             assert rep["value_f64"] == float(
                 F(rep["value_num"], rep["value_den"]))
@@ -191,14 +193,15 @@ def test_verify_fault_injection_trips(suite, capsys):
 
 
 def test_verify_deterministic_output(tmp_path, capsys):
-    blobs = []
-    for tag in ("a", "b"):
-        path = tmp_path / f"{tag}.json"
-        code, _ = _run(capsys, ["verify", "--suite", "decomposition",
-                                "--seed", "42", "--out", str(path)])
-        assert code == 0
-        blobs.append(path.read_bytes())
-    assert blobs[0] == blobs[1]
+    for suite in ("decomposition", "fourier"):
+        blobs = []
+        for tag in ("a", "b"):
+            path = tmp_path / f"{suite}-{tag}.json"
+            code, _ = _run(capsys, ["verify", "--suite", suite,
+                                    "--seed", "42", "--out", str(path)])
+            assert code == 0
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 def test_clt_pairsum_small(tmp_path, capsys):

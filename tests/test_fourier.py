@@ -25,11 +25,13 @@ from haltonlab import (
     signed_residues,
     window_fourier_coefficient,
 )
+from haltonlab import fourier
 
 from oracles import (
     fold_axis,
     naive_pair_majorant,
     naive_resonance,
+    term_fourier_by_loop,
     window_split_search,
 )
 from oracles import _pair_axis_geometry
@@ -125,12 +127,13 @@ def test_psi_window_rejection():
 # ---------------------------------------------------------------------------
 # layer values by Fourier summation vs direct counting
 
-def _small_depth_pairs(limit):
+def _small_depth_pairs(limit, bases=(2, 3)):
+    p1, p2 = bases
     out = []
     r1 = 1
-    while 2 ** r1 * 3 <= limit:
+    while p1 ** r1 * p2 <= limit:
         r2 = 1
-        while 2 ** r1 * 3 ** r2 <= limit:
+        while p1 ** r1 * p2 ** r2 <= limit:
             out.append((r1, r2))
             r2 += 1
         r1 += 1
@@ -160,6 +163,46 @@ def test_fourier_layer_zero_cases():
     assert abs(z) < 1e-12
     with pytest.raises(ValueError):
         decomposition_term_fourier((F(1, 2), F(1, 3)), (1, 0), 0, 5, (2, 3))
+
+
+def _corner_with_nonzero_last_digits(rng, r, bases):
+    """A corner whose last kept digit at depth r_i is nonzero on both axes."""
+    x = []
+    for p, ri in zip(bases, r):
+        lead = rng.randrange(0, p ** (ri - 1)) * p + rng.randrange(1, p)
+        den = rng.randrange(1, 10 ** 6)
+        x.append(F(lead * den + rng.randrange(0, den), den * p ** ri))
+    return tuple(x)
+
+
+@pytest.mark.parametrize("bases", [(2, 3), (2, 5)])
+def test_fourier_layer_matches_loop_oracle(bases):
+    # Every depth pair with P <= 10^4, at offsets up to 10^18 and counts
+    # 1..1024: the array route against the per-frequency Fraction loop
+    # and against direct counting.
+    rng = random.Random(1101)
+    for i, r in enumerate(_small_depth_pairs(10 ** 4, bases)):
+        P = bases[0] ** r[0] * bases[1] ** r[1]
+        counts = (1, 1024, rng.randrange(2, 1024), rng.randrange(2, 1024))
+        for j, offset in enumerate((0, 10 ** 6, None, 10 ** 18)):
+            n = counts[(i + j) % 4]
+            q = 10 ** 9 - n if offset is None else offset
+            x = _corner_with_nonzero_last_digits(rng, r, bases)
+            z = decomposition_term_fourier(x, r, q, n, bases)
+            assert abs(z - term_fourier_by_loop(x, r, q, n, bases)) <= 1e-12 * P
+            c = decomposition_term(x, r, q, n, bases)
+            assert abs(z - float(c)) <= 1e-8 * P
+
+
+def test_fourier_layer_rejects_moduli_beyond_int64_products(monkeypatch):
+    # P = 2^20 * 3^7 > 2^31.  The bound is checked before any array is
+    # built, so the call raises even with numpy out of the module's reach.
+    monkeypatch.setattr(fourier, "np", None)
+    x = (F(1, 2), F(1, 3))
+    with pytest.raises(ValueError, match="2\\^31"):
+        decomposition_term_fourier(x, (20, 7), 0, 5, (2, 3))
+    with pytest.raises(ValueError, match="2\\^31"):
+        window_fourier_coefficient((20, 7), 0, 5, 1, (2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import struct
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,6 @@ from haltonlab import (
     point_set,
     radical_inverse,
     save_csv,
-    save_float64,
 )
 
 from oracles import axis_digits
@@ -220,17 +218,6 @@ def test_save_csv_writes_reduced_fractions_from_columns(tmp_path):
               for pt in ps.points]
     assert rows[2:] == expect
     assert rows[5] == "3/4,1/9,1/4"
-
-
-def test_save_float64_layout(tmp_path):
-    ps = point_set("halton", (2, 3), 0, 5)
-    path = tmp_path / "pts.bin"
-    save_float64(ps, str(path))
-    raw = path.read_bytes()
-    assert len(raw) == 5 * 2 * 8
-    vals = struct.unpack("<10d", raw)
-    flat = [float(c) for pt in ps.points for c in pt.coords]
-    assert list(vals) == flat
 
 
 def test_float_view_preserves_grid_membership():
