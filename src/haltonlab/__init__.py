@@ -21,8 +21,6 @@ from .radical import (
 )
 from .residue import (
     ResidueData,
-    SignedResidueSet,
-    corner_residue,
     crt_inverses,
     in_elementary_interval,
     signed_rep,
@@ -41,11 +39,9 @@ from .discrepancy import (
 )
 from .fourier import (
     DigitSplit,
-    PartitionLabel,
     cell_fourier_factor,
     combined_frequency,
     decomposition_term_fourier,
-    default_thresholds,
     digit_split,
     partition_label,
     resonance_sums,
@@ -72,22 +68,18 @@ __all__ = [
     "DigitSplit",
     "DiscrepancyValue",
     "LinearFormInstance",
-    "PartitionLabel",
     "PointSet",
     "RationalPoint",
     "ResidueData",
     "ScanReport",
-    "SignedResidueSet",
     "ZeroFormError",
     "cell_fourier_factor",
     "combined_frequency",
-    "corner_residue",
     "count_in_class",
     "crt_inverses",
     "decomposition_layers",
     "decomposition_term",
     "decomposition_term_fourier",
-    "default_thresholds",
     "digit_split",
     "first_primes",
     "halton_point",

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -326,14 +326,13 @@ def _suite_fourier(args: argparse.Namespace, inject: bool,
 
 def _suite_moments(args: argparse.Namespace, inject: bool) -> dict:
     bp = BasisPair.of(args.bases[:2])
-    v = args.v_override if args.v_override is not None else 0
-    vv = args.vv_override if args.vv_override is not None else 0
     violations = 0
     max_ratio = 0.0
     cases = 0
+    # Zero thresholds, the setting MOMENT_RATIO_BOUND was calibrated at.
     for n_count in (1, 2, 3):
         for lam in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            lhs, rhs = second_moment_block(lam, n_count, args.q, bp, 2, v, vv)
+            lhs, rhs = second_moment_block(lam, n_count, args.q, bp, 2, 0, 0)
             if inject and cases == 0:
                 lhs += MOMENT_RATIO_BOUND * rhs + 1.0
             if rhs == 0.0:
@@ -343,7 +342,7 @@ def _suite_moments(args: argparse.Namespace, inject: bool) -> dict:
                 max_ratio = max(max_ratio, lhs / rhs)
                 if lhs > MOMENT_RATIO_BOUND * rhs:
                     violations += 1
-            d_star, d_sharp = resonance_sums(lam, bp, 2, v, vv, m_cap=500)
+            d_star, d_sharp = resonance_sums(lam, bp, 2, 0, 0, m_cap=500)
             if d_star > d_sharp * (1 + 1e-12):
                 violations += 1
             cases += 1
@@ -519,12 +518,10 @@ def cmd_clt(args) -> int:
 # padic-scan
 
 def cmd_padic_scan(args) -> int:
-    report = linear_form_scan(
-        args.p, args.p_other, args.l_max, args.b_max,
-        csv_path=args.out, min_ord_in_csv=args.min_ord,
-    )
+    report = linear_form_scan(args.p, args.p_other, args.l_max, args.b_max,
+                              csv_path=args.out)
     payload = {"schema_version": SCHEMA_VERSION, "command": "padic-scan"}
-    payload.update(report.to_json_dict())
+    payload.update(asdict(report))
     _emit(payload)
     return 0
 
@@ -583,8 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--q", type=int, default=0)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
-    v.add_argument("--v-override", type=int, default=None)
-    v.add_argument("--vv-override", type=int, default=None)
     v.add_argument("--suite", choices=VERIFY_SUITES + ("all",), default="all")
     v.add_argument("--inject-fault", action="store_true",
                    help="negative control: corrupt one case and expect failure")
@@ -608,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-other", type=int, default=3)
     p.add_argument("--l-max", type=int, default=10)
     p.add_argument("--b-max", type=int, default=50)
-    p.add_argument("--min-ord", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_padic_scan)
 

@@ -3,9 +3,9 @@
 Each decomposition layer equals a finite Fourier sum over the nonzero signed
 residues m mod P: a window coefficient (normalized geometric sum over the
 index range), a per-axis digit-cell factor, and a corner phase.  On top of
-that sit the digit-split of a frequency into signed windows, the partition of
-depth pairs by spread, the exact second-moment block integral with its
-harmonic majorant, and the windowed/unconstrained resonance sums.
+that sit the digit-split of a frequency into signed windows, the spread-cell
+label lam of a pair of depth pairs, the exact second-moment block integral with
+its harmonic majorant, and the windowed/unconstrained resonance sums.
 
 Phases are reduced exactly, in integers mod P, and then evaluated with one
 vectorised trigonometric pass per frequency array: a layer sums its P - 1
@@ -262,36 +262,15 @@ def combined_frequency(m1: int, m2: int, mm_pair: tuple[int, int],
 # ---------------------------------------------------------------------------
 # depth-pair partitions
 
-@dataclass(frozen=True)
-class PartitionLabel:
-    """Which of the four spread cells a pair of depth pairs falls into."""
-
-    lam: tuple[int, int]
-    v_threshold: int
-    vv_threshold: int
-
-
-def default_thresholds(bases: BasisPair | Sequence[int], n: int) -> tuple[int, int]:
-    """Asymptotic threshold formulas; far beyond any desk-scale n."""
-    bp = BasisPair.of(bases)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    lg = math.log2(n)
-    return (bp.p1 ** 4 * bp.p2 ** 4 * math.floor(lg ** 4), math.floor(lg ** 3))
-
-
 def partition_label(br_1: TruncIndex, br_2: TruncIndex, v_threshold: int,
-                    vv_threshold: int) -> PartitionLabel | None:
-    """Label a pair of depth pairs, or None when either lies in the cut box."""
+                    vv_threshold: int) -> tuple[int, int] | None:
+    """The spread cell lam of a pair of depth pairs, or None when either lies
+    in the cut box."""
     for br in (br_1, br_2):
         if max(br) <= v_threshold:
             return None
-    lam = []
-    for i in range(2):
-        spread = max(br_1[i], br_2[i]) - min(br_1[i], br_2[i])
-        lam.append(1 if spread > vv_threshold else 0)
-    return PartitionLabel(lam=(lam[0], lam[1]), v_threshold=v_threshold,
-                          vv_threshold=vv_threshold)
+    return tuple(1 if abs(br_1[i] - br_2[i]) > vv_threshold else 0
+                 for i in range(2))
 
 
 def _partition_pairs(lam: tuple[int, int], n: int, v_threshold: int,
@@ -299,8 +278,7 @@ def _partition_pairs(lam: tuple[int, int], n: int, v_threshold: int,
     depths = [(r1, r2) for r1 in range(1, n + 1) for r2 in range(1, n + 1)]
     out = []
     for br_1, br_2 in product(depths, depths):
-        label = partition_label(br_1, br_2, v_threshold, vv_threshold)
-        if label is not None and label.lam == tuple(lam):
+        if partition_label(br_1, br_2, v_threshold, vv_threshold) == lam:
             out.append((br_1, br_2))
     return out
 
@@ -399,7 +377,7 @@ def _majorant_pair(bp: BasisPair, pair: DepthPair) -> float:
     pplus = math.prod(p ** rplus for p, rplus, *_ in axes)
     ws = []
     for P in moduli:
-        ms = np.array(list(signed_residues(P).nonzero()), dtype=np.int64)
+        ms = np.array([m for m in signed_residues(P) if m], dtype=np.int64)
         ws.append(_class_sums(ms, 1.0 / np.abs(ms), pplus))
     split_w = [_axis_split_weights(p, rplus, rminus)
                for p, rplus, rminus, *_ in axes]

@@ -12,8 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Rational
 
 from .radical import is_prime
 
@@ -22,26 +20,19 @@ class ZeroFormError(ValueError):
     """Raised when the linear form collapses to exactly zero."""
 
 
-def valuation(x: int | Rational, p: int) -> int | float:
-    """Exponent of p in x, or math.inf when x is 0.
-
-    Works on integers and exact rationals; the valuation of a fraction is
-    the valuation of its numerator minus that of its denominator.
-    """
+def valuation(x: int, p: int) -> int | float:
+    """Exponent of p in the integer x, or math.inf when x is 0."""
     if p < 2 or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if isinstance(x, int):
-        if x == 0:
-            return math.inf
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-    frac = Fraction(x)
-    if frac == 0:
+    if not isinstance(x, int):
+        raise ValueError(f"valuation takes an integer, got {x!r}")
+    if x == 0:
         return math.inf
-    return valuation(frac.numerator, p) - valuation(frac.denominator, p)
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 @dataclass(frozen=True)
@@ -149,33 +140,17 @@ class ScanReport:
     max_ratio_at: tuple[int, int, int]
     csv_path: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "p_other": self.p_other,
-            "l_max": self.l_max,
-            "b_max": self.b_max,
-            "examined": self.examined,
-            "skipped_mismatched": self.skipped_mismatched,
-            "skipped_zero": self.skipped_zero,
-            "max_ord": self.max_ord,
-            "max_ord_at": list(self.max_ord_at),
-            "max_ratio": self.max_ratio,
-            "max_ratio_at": list(self.max_ratio_at),
-            "csv_path": self.csv_path,
-        }
-
 
 def linear_form_scan(p: int, p_other: int, l_max: int, b_max: int,
-                     csv_path: str | None = None,
-                     min_ord_in_csv: int = 1) -> ScanReport:
+                     csv_path: str | None = None) -> ScanReport:
     """Sweep ord_p(l1 * p_other**b - l2) over 0 < |l1|, l2 <= l_max, b <= b_max.
 
     Negative l2 are omitted: negating both coefficients flips the sign of the
     form and leaves the valuation unchanged, so the (l1, l2) half-plane with
     l2 > 0 already covers every distinct instance.  Pairs with mismatched
     p-valuations and exact zeros are counted and skipped.  When csv_path is
-    given, rows (l1, l2, b, ord, ratio) with ord >= min_ord_in_csv are written.
+    given, a row (l1, l2, b, ord, ratio) is written for every instance of
+    ord >= 1.
     """
     for q in (p, p_other):
         if not is_prime(q):
@@ -234,7 +209,7 @@ def linear_form_scan(p: int, p_other: int, l_max: int, b_max: int,
                         if ratio > max_ratio:
                             max_ratio = ratio
                             max_ratio_at = (l1, l2, b)
-                        if writer is not None and v >= min_ord_in_csv:
+                        if writer is not None:
                             writer.writerow([l1, l2, b, v, repr(ratio)])
     finally:
         if handle is not None:

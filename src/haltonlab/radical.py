@@ -129,14 +129,16 @@ def _reverse_digits(t: int, p: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class RationalPoint:
-    """A point of the unit cube with exact rational coordinates in [0, 1)."""
+    """A point of the unit cube with `Fraction` coordinates in [0, 1)."""
 
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        # Integer comparisons on the reduced parts: Fraction's rich
+        # comparisons cost an ABC isinstance check each.
         for c in self.coords:
-            if not 0 <= c < 1:
-                raise ValueError(f"coordinate out of [0, 1): {c}")
+            if not (isinstance(c, Fraction) and 0 <= c.numerator < c.denominator):
+                raise ValueError(f"coordinate is not a Fraction in [0, 1): {c!r}")
 
     @property
     def dim(self) -> int:
@@ -262,7 +264,9 @@ def point_set(kind: str, bases: Sequence[int] | int, start: int = 0,
         if points is None:
             raise ValueError("explicit kind requires points")
         rows = [p.coords if isinstance(p, RationalPoint) else p for p in points]
-        dens, cols = _exact_columns(rows, len(rows[0]) if rows else len(bs))
+        if not rows:
+            raise ValueError("explicit kind requires at least one point")
+        dens, cols = _exact_columns(rows, len(rows[0]))
         return PointSet(dens, cols, bs, start, len(rows), kind)
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")

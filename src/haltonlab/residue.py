@@ -4,7 +4,8 @@ A box whose side lengths are p1^-r1 and p2^-r2 aligned to the digit grids
 contains exactly the Halton points whose index lies in one residue class
 modulo P = p1^r1 * p2^r2.  This module computes the two modular inverses that
 define that class, the class of a box from the leading digits of its corner,
-and the membership test built on it.
+the membership test built on it, and the signed residue windows, as ranges,
+that the Fourier sums run over.
 """
 
 from __future__ import annotations
@@ -81,18 +82,6 @@ def _box_class(t1: int, t2: int, r: TruncIndex, rd: ResidueData) -> int:
             + p1 ** r1 * rd.M2 * _reverse_digits(t2, p2, r2)) % rd.P
 
 
-def corner_residue(x: Sequence[Fraction], r: TruncIndex,
-                   rd: ResidueData) -> int:
-    """Residue class mod P of the Halton indices landing at the truncated corner.
-
-    Each axis contributes the integer formed by its first r_i digits with
-    digit j carrying weight p_i^(j-1).  r must be the depths rd was built for.
-    """
-    if tuple(r) != rd.r:
-        raise ValueError(f"depths {tuple(r)} do not match rd.r = {rd.r}")
-    return _box_class(*_corner_digits(x, rd.bases.as_tuple(), r), r, rd)
-
-
 def in_elementary_interval(k: int, y: Sequence[Fraction], s: TruncIndex,
                            bases: BasisPair | Sequence[int]) -> bool:
     """Does the k-th Halton point land in the box [y1, y1+p1^-s1) x [y2, y2+p2^-s2)?
@@ -119,43 +108,11 @@ def in_elementary_interval(k: int, y: Sequence[Fraction], s: TruncIndex,
     return k % rd.P == _box_class(t[0], t[1], (s1, s2), rd)
 
 
-@dataclass(frozen=True)
-class SignedResidueSet:
+def signed_residues(M: int) -> range:
     """The complete residue system [-floor((M-1)/2), floor(M/2)] mod M."""
-
-    M: int
-
-    def __post_init__(self) -> None:
-        if self.M < 1:
-            raise ValueError(f"modulus must be positive, got {self.M}")
-
-    @property
-    def lo(self) -> int:
-        return -((self.M - 1) // 2)
-
-    @property
-    def hi(self) -> int:
-        return self.M // 2
-
-    def __iter__(self):
-        return iter(range(self.lo, self.hi + 1))
-
-    def __len__(self) -> int:
-        return self.M
-
-    def __contains__(self, a: int) -> bool:
-        M = self.M
-        return -((M - 1) // 2) <= a <= M // 2
-
-    def nonzero(self):
-        """The set minus 0, in ascending order."""
-        for a in self:
-            if a != 0:
-                yield a
-
-
-def signed_residues(M: int) -> SignedResidueSet:
-    return SignedResidueSet(M)
+    if M < 1:
+        raise ValueError(f"modulus must be positive, got {M}")
+    return range(-((M - 1) // 2), M // 2 + 1)
 
 
 def signed_rep(a: int, M: int) -> int:

@@ -237,8 +237,10 @@ def test_criterion_5_digit_split_sweeps():
     for r_pair in exhaustive:
         p_1 = 2 ** r_pair[0][0] * 3 ** r_pair[0][1]
         p_2 = 2 ** r_pair[1][0] * 3 ** r_pair[1][1]
-        for m1 in signed_residues(p_1).nonzero():
-            for m2 in signed_residues(p_2).nonzero():
+        for m1 in signed_residues(p_1):
+            for m2 in signed_residues(p_2):
+                if m1 == 0 or m2 == 0:
+                    continue
                 _check_one_split(m1, m2, r_pair, windows)
                 joint += 1
 
@@ -250,12 +252,12 @@ def test_criterion_5_digit_split_sweeps():
         for _ in range(6):
             m1 = 0
             while m1 == 0:
-                m1 = signed_residues(p_1).lo + rng.randrange(p_1)
+                m1 = signed_residues(p_1).start + rng.randrange(p_1)
                 if m1 not in signed_residues(p_1):
                     m1 = 0
             m2 = 0
             while m2 == 0:
-                m2 = signed_residues(p_2).lo + rng.randrange(p_2)
+                m2 = signed_residues(p_2).start + rng.randrange(p_2)
                 if m2 not in signed_residues(p_2):
                     m2 = 0
             _check_one_split(m1, m2, r_pair, windows)

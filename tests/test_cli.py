@@ -58,6 +58,9 @@ def test_verbs_reject_flags_they_do_not_read(tmp_path, capsys):
                  ["scaling", "--n-grid", "16", "--v-override", "1"],
                  ["scaling", "--n-grid", "16", "--vv-override", "1"],
                  ["verify", "--suite", "padic", "--mode", "float"],
+                 ["verify", "--suite", "moments", "--v-override", "1"],
+                 ["verify", "--suite", "moments", "--vv-override", "1"],
+                 ["padic-scan", "--l-max", "3", "--b-max", "3", "--min-ord", "2"],
                  # prefixes of --q-list and --inject-fault are not flags
                  ["scaling", "--n-grid", "16", "--q", "7"],
                  ["verify", "--inject"]):
@@ -246,7 +249,14 @@ def test_padic_scan_cli(tmp_path, capsys):
     code, rep = _run(capsys, ["padic-scan", "--l-max", "5", "--b-max", "10",
                               "--out", str(path)])
     assert code == 0
+    assert set(rep) == {
+        "schema_version", "command", "p", "p_other", "l_max", "b_max",
+        "examined", "skipped_mismatched", "skipped_zero", "max_ord",
+        "max_ord_at", "max_ratio", "max_ratio_at", "csv_path"}
     assert rep["command"] == "padic-scan"
+    assert rep["csv_path"] == str(path)
+    for key in ("max_ord_at", "max_ratio_at"):
+        assert isinstance(rep[key], list) and len(rep[key]) == 3
     assert rep["max_ord"] >= 1
     assert rep["max_ratio"] > 0
     assert path.read_text().splitlines()[0] == "l1,l2,b,ord,ratio"

@@ -17,7 +17,6 @@ from haltonlab import (
     crt_inverses,
     decomposition_term,
     decomposition_term_fourier,
-    default_thresholds,
     digit_split,
     partition_label,
     resonance_sums,
@@ -43,18 +42,23 @@ def _e(t):
     return cmath.exp(2j * cmath.pi * float(t))
 
 
+def _nonzero(M):
+    """The signed residue window mod M without 0."""
+    return [m for m in signed_residues(M) if m]
+
+
 # ---------------------------------------------------------------------------
 # the window coefficient phi
 
 def test_phi_vanishes_over_full_periods():
     for mult in (1, 2, 5):
-        for m in signed_residues(6).nonzero():
+        for m in _nonzero(6):
             assert window_fourier_coefficient(
                 (1, 1), 0, 6 * mult, m, (2, 3)) == 0j
 
 
 def test_phi_single_point_magnitude():
-    for m in signed_residues(12).nonzero():
+    for m in _nonzero(12):
         z = window_fourier_coefficient((2, 1), 9, 1, m, (2, 3))
         assert abs(abs(z) - 1 / 12) < 1e-12
 
@@ -68,7 +72,7 @@ def test_phi_magnitude_bound():
     for r, P in (((1, 1), 6), ((2, 1), 12), ((2, 2), 36)):
         for n in (1, 2, 3, 7, P - 1, P + 5, 2 * P - 1):
             for q in (0, 3, 7):
-                for m in signed_residues(P).nonzero():
+                for m in _nonzero(P):
                     z = window_fourier_coefficient(r, q, n, m, (2, 3))
                     assert abs(z) <= 1 / max(1, abs(m)) + 1e-12
 
@@ -81,7 +85,7 @@ def test_phi_completeness_identity():
         for q, n in ((0, 5), (7, 11), (100, 2 * P + 3)):
             for cls in range(0, P, max(1, P // 5)):
                 acc = n / P
-                for m in signed_residues(P).nonzero():
+                for m in _nonzero(P):
                     phi = window_fourier_coefficient(r, q, n, m, (2, 3))
                     acc += (phi * _e(F((-m * cls) % P, P))).real
                 assert abs(acc - count_in_class(cls, q, n, P)) < 1e-10
@@ -232,8 +236,8 @@ def test_digit_split_exhaustive_small_moduli():
                    (((2, 1)), ((1, 2))), (((2, 2)), ((1, 1)))):
         P1 = 2 ** r_pair[0][0] * 3 ** r_pair[0][1]
         P2 = 2 ** r_pair[1][0] * 3 ** r_pair[1][1]
-        for m1 in signed_residues(P1).nonzero():
-            for m2 in signed_residues(P2).nonzero():
+        for m1 in _nonzero(P1):
+            for m2 in _nonzero(P2):
                 _check_split_against_oracle(m1, m2, r_pair, (2, 3))
 
 
@@ -244,8 +248,8 @@ def test_digit_split_seeded_larger_moduli():
     for r_pair in depth_pairs:
         P1 = 2 ** r_pair[0][0] * 3 ** r_pair[0][1]
         P2 = 2 ** r_pair[1][0] * 3 ** r_pair[1][1]
-        w1 = list(signed_residues(P1).nonzero())
-        w2 = list(signed_residues(P2).nonzero())
+        w1 = _nonzero(P1)
+        w2 = _nonzero(P2)
         for _ in range(40):
             _check_split_against_oracle(
                 rng.choice(w1), rng.choice(w2), r_pair, (2, 3))
@@ -282,8 +286,8 @@ def test_combined_frequency_divisibility():
     for r_pair in depth_pairs:
         P1 = 2 ** r_pair[0][0] * 3 ** r_pair[0][1]
         P2 = 2 ** r_pair[1][0] * 3 ** r_pair[1][1]
-        w1 = list(signed_residues(P1).nonzero())
-        w2 = list(signed_residues(P2).nonzero())
+        w1 = _nonzero(P1)
+        w2 = _nonzero(P2)
         for _ in range(25):
             m1, m2 = rng.choice(w1), rng.choice(w2)
             ds = digit_split(m1, m2, r_pair, (2, 3))
@@ -308,8 +312,7 @@ def test_combined_frequency_trivial_and_perturbed():
 # partitions of depth-pair space
 
 def test_partition_label_equal_pairs():
-    lbl = partition_label((3, 2), (3, 2), 1, 0)
-    assert lbl is not None and lbl.lam == (0, 0)
+    assert partition_label((3, 2), (3, 2), 1, 0) == (0, 0)
 
 
 def test_partition_label_cut_box():
@@ -341,15 +344,9 @@ def test_partition_counts_small_enumeration():
         for r21 in range(1, 4):
             for r12 in range(1, 4):
                 for r22 in range(1, 4):
-                    lbl = partition_label((r11, r21), (r12, r22), 0, 1)
-                    counts[lbl.lam] = counts.get(lbl.lam, 0) + 1
+                    lam = partition_label((r11, r21), (r12, r22), 0, 1)
+                    counts[lam] = counts.get(lam, 0) + 1
     assert counts == {(0, 0): 49, (1, 0): 14, (0, 1): 14, (1, 1): 4}
-
-
-def test_default_thresholds_frozen():
-    assert default_thresholds((2, 3), 16) == (331776, 64)
-    with pytest.raises(ValueError):
-        default_thresholds((2, 3), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +357,7 @@ def _cell_pairs(lam, n, v, vv):
     out = []
     for br_1 in depths:
         for br_2 in depths:
-            lbl = partition_label(br_1, br_2, v, vv)
-            if lbl is not None and lbl.lam == lam:
+            if partition_label(br_1, br_2, v, vv) == lam:
                 out.append((br_1, br_2))
     return out
 
@@ -409,7 +405,7 @@ def test_second_moment_one_depth_case():
 
 
 def test_second_moment_empty_cell():
-    v, vv = default_thresholds((2, 3), 2)
+    v, vv = 1296, 1  # every depth pair at n = 2 lies in the cut box
     assert second_moment_block((0, 0), 3, 0, (2, 3), 2, v, vv) == (0.0, 0.0)
 
 
@@ -434,7 +430,7 @@ def test_resonance_matches_naive_enumeration():
 
 
 def test_resonance_empty_cell_and_guards():
-    v, vv = default_thresholds((2, 3), 2)
+    v, vv = 1296, 1  # every depth pair at n = 2 lies in the cut box
     assert resonance_sums((0, 0), (2, 3), 2, v, vv) == (0.0, 0.0)
     with pytest.raises(ValueError):
         resonance_sums((0, 0), (2, 3), 5, 0, 0)

@@ -179,6 +179,18 @@ def test_rational_point_rejects_out_of_range():
         RationalPoint((F(-1, 2),))
 
 
+def test_rational_point_rejects_non_fraction_coordinates():
+    for coords in ((0.5,), (F(1, 2), 0.25), (0,)):
+        with pytest.raises(ValueError):
+            RationalPoint(coords)
+    assert RationalPoint((F(0), F(1, 2))).dim == 2
+
+
+def test_explicit_rejects_an_empty_set():
+    with pytest.raises(ValueError):
+        point_set("explicit", (2, 3), points=[])
+
+
 def test_basis_pair_validation_and_primality():
     bp = BasisPair(2, 3)
     assert bp.primality == (True, True)

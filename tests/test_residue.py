@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from haltonlab import (
-    BasisPair,
-    corner_residue,
     crt_inverses,
+    decomposition_term,
+    decomposition_term_fourier,
     halton_point,
     in_elementary_interval,
     signed_rep,
     signed_residues,
+    truncate_digits,
 )
 
 from oracles import brute_inverse, unit_circle_sum
@@ -55,33 +56,46 @@ def test_crt_inverses_rejections():
         crt_inverses((2, 3), (0, 0))
 
 
+def _congruence_indices(x, r, bases):
+    """The indices in [0, P) that the congruence test puts in the depth-r box
+    at the truncated corner of x."""
+    corner = truncate_digits(x, r, bases)
+    P = bases[0] ** r[0] * bases[1] ** r[1]
+    return [k for k in range(P)
+            if in_elementary_interval(k, corner, r, bases)]
+
+
 def test_corner_residue_frozen_values():
-    rd = crt_inverses((2, 3), (1, 1))
-    assert corner_residue((F(1, 2), F(1, 3)), (1, 1), rd) == 1
-    assert corner_residue((F(0), F(0)), (1, 1), rd) == 0
+    assert _congruence_indices((F(1, 2), F(1, 3)), (1, 1), (2, 3)) == [1]
+    assert _congruence_indices((F(0), F(0)), (1, 1), (2, 3)) == [0]
     # digit values 1 and 2: (3*1*1 + 2*2*2) mod 6 = 11 mod 6 = 5
-    assert corner_residue((F(1, 2), F(2, 3)), (1, 1), rd) == 5
+    assert _congruence_indices((F(1, 2), F(2, 3)), (1, 1), (2, 3)) == [5]
 
 
 def test_corner_residue_locates_halton_indices():
     # The k-th point's truncated corner must sit in class k mod P.
-    bp = BasisPair(2, 3)
     for r in ((1, 1), (2, 1), (1, 2), (3, 2)):
-        rd = crt_inverses(bp, r)
-        for k in range(3 * rd.P):
+        P = 2 ** r[0] * 3 ** r[1]
+        for k in range(3 * P):
             pt = halton_point(k, (2, 3))
-            assert corner_residue(pt.coords, r, rd) == k % rd.P
+            assert _congruence_indices(pt.coords, r, (2, 3)) == [k % P]
 
 
 def test_corner_residue_rejections():
-    rd = crt_inverses((2, 3), (1, 1))
+    # Coordinates outside [0, 1) have no corner digits: the layer routes,
+    # which read them, and the congruence test of the truncated corner
+    # reject them.
     for x in ((F(1), F(1, 3)), (F(1, 2), F(1)), (F(-1, 2), F(0)),
               (F(0), F(4, 3))):
         with pytest.raises(ValueError):
-            corner_residue(x, (1, 1), rd)
-    # depths that differ from the ones rd was built for
+            decomposition_term(x, (1, 1), 0, 6, (2, 3))
+        with pytest.raises(ValueError):
+            decomposition_term_fourier(x, (1, 1), 0, 6, (2, 3))
+        with pytest.raises(ValueError):
+            _congruence_indices(x, (1, 1), (2, 3))
+    # a corner of a finer grid than the box depths
     with pytest.raises(ValueError):
-        corner_residue((F(3, 4), F(1, 3)), (2, 1), rd)
+        in_elementary_interval(0, (F(3, 4), F(1, 3)), (1, 1), (2, 3))
 
 
 def _box_indices(corner, r, bases):
@@ -97,19 +111,18 @@ def test_corner_residue_on_digit_boundaries():
     # Corners on the grid of depth r, on coarser grids, at 0, and one 10^-6
     # below a grid line (where the floor drops to the previous cell).
     for bases, r in (((2, 3), (3, 2)), ((2, 5), (2, 2)), ((2, 3), (1, 3))):
-        rd = crt_inverses(bases, r)
         q1, q2 = bases[0] ** r[0], bases[1] ** r[1]
         for a1, a2 in ((0, 0), (1, 1), (q1 - 1, q2 - 1), (q1 // 2, q2 // 3)):
             corner = (F(a1, q1), F(a2, q2))
-            assert [corner_residue(corner, r, rd)] == \
+            assert _congruence_indices(corner, r, bases) == \
                 _box_indices(corner, r, bases)
             if a1 and a2:
                 below = (corner[0] - F(1, 10 ** 6), corner[1] - F(1, 10 ** 6))
                 prev = (F(a1 - 1, q1), F(a2 - 1, q2))
-                assert corner_residue(below, r, rd) == \
-                    corner_residue(prev, r, rd)
+                assert _congruence_indices(below, r, bases) == \
+                    _box_indices(prev, r, bases)
         for coarse in ((F(1, 2), F(0)), (F(0), F(1, bases[1]))):
-            assert [corner_residue(coarse, r, rd)] == \
+            assert _congruence_indices(coarse, r, bases) == \
                 _box_indices(coarse, r, bases)
 
 
@@ -224,10 +237,12 @@ def test_signed_residues_frozen_sets():
     assert set(signed_residues(1)) == {0}
     assert set(signed_residues(5)) == {-2, -1, 0, 1, 2}
     w = signed_residues(6)
-    assert (w.lo, w.hi) == (-2, 3)
+    assert (w.start, w[-1]) == (-2, 3)
     assert len(w) == 6
     assert 3 in w and -3 not in w
-    assert set(w.nonzero()) == {-2, -1, 1, 2, 3}
+    assert {m for m in w if m} == {-2, -1, 1, 2, 3}
+    with pytest.raises(ValueError):
+        signed_residues(0)
 
 
 def test_signed_rep_round_trip():
