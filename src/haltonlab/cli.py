@@ -3,8 +3,7 @@
 Verbs: generate | discrepancy | scaling | verify | clt | padic-scan.
 Reports go to stdout as single-line JSON with a schema_version field; bulk
 tables go to --out as CSV with a header row.  Identical flags and seed give
-byte-identical output, except for wall-clock columns, which are measurements
-and excluded from the determinism contract.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -49,10 +47,8 @@ SCHEMA_VERSION = "1"
 # Q in {0, 1, 7, 123, 10^6}: observed max lhs/rhs = 0.0064, so the committed
 # bound 1.0 holds with two orders of magnitude to spare.
 MOMENT_RATIO_BOUND = 1.0
-# clt's auto D2 route: the float pair sum up to this size, Monte Carlo above.
+# clt's D2 route: the float pair sum up to this size, Monte Carlo above.
 PAIRSUM_MAX = 1 << 12
-
-VERIFY_SUITES = ("membership", "decomposition", "fourier", "moments", "padic")
 
 
 @dataclass(frozen=True)
@@ -62,21 +58,15 @@ class ScalingRow:
     d2: float
     d2_over_logn: float
     d2_over_sqrtlogn: float
-    wall_time_ms: float
 
 
-def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def _parse_bases(text: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad bases list {text!r}")
-    if not parts:
-        raise argparse.ArgumentTypeError("bases list is empty")
-    return parts
+def _emit(report: dict, out: str | None = None) -> None:
+    """Write the report as one sorted-key JSON line to stdout and to `out`."""
+    line = json.dumps(report, sort_keys=True) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(line)
+    sys.stdout.write(line)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -129,17 +119,14 @@ def cmd_discrepancy(args) -> int:
         val = star_discrepancy(ps)
     else:
         if args.x is None:
-            raise SystemExit("local metric needs --x num/den,num/den")
-        val = local_discrepancy(args.x, ps, mode=args.mode)
+            raise ValueError("local metric needs --x num/den,num/den")
+        val = local_discrepancy(args.x, ps)
     report["mode"] = val.mode
     if isinstance(val.value, Fraction):
         report["value_num"] = val.value.numerator
         report["value_den"] = val.value.denominator
     report["value_f64"] = val.as_float()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, sort_keys=True) + "\n")
-    _emit(report)
+    _emit(report, args.out)
     return 0
 
 
@@ -162,34 +149,29 @@ def cmd_scaling(args) -> int:
     grid = tuple(sorted(args.n_grid)) if args.n_grid else tuple(
         2 ** j for j in range(args.j_min, args.j_max + 1))
     if any(n < 2 for n in grid):
-        raise SystemExit("scaling needs N >= 2 (log N normalization)")
+        raise ValueError("scaling needs N >= 2 (log N normalization)")
     rows: list[ScalingRow] = []
     for q in args.q_list:
         for n in grid:
             ps = point_set("halton", args.bases, q, n)
-            t0 = time.perf_counter()
-            d2sq = l2_discrepancy_squared(ps, mode=args.mode).as_float()
-            wall = (time.perf_counter() - t0) * 1000.0
-            d2 = math.sqrt(d2sq)
+            d2 = math.sqrt(l2_discrepancy_squared(ps, mode="exact").as_float())
             ln = math.log(n)
-            rows.append(ScalingRow(
-                n=n, q=q, d2=d2, d2_over_logn=d2 / ln,
-                d2_over_sqrtlogn=d2 / math.sqrt(ln), wall_time_ms=wall,
-            ))
+            rows.append(ScalingRow(n=n, q=q, d2=d2, d2_over_logn=d2 / ln,
+                                   d2_over_sqrtlogn=d2 / math.sqrt(ln)))
     rows.sort(key=lambda r: (r.q, r.n))
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("n,q,d2,d2_over_logn,d2_over_sqrtlogn,wall_time_ms\n")
+            fh.write("n,q,d2,d2_over_logn,d2_over_sqrtlogn\n")
             for r in rows:
                 fh.write(f"{r.n},{r.q},{r.d2!r},{r.d2_over_logn!r},"
-                         f"{r.d2_over_sqrtlogn!r},{r.wall_time_ms:.3f}\n")
+                         f"{r.d2_over_sqrtlogn!r}\n")
 
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": "scaling",
         "bases": list(args.bases),
-        "mode": args.mode,
+        "mode": "exact",
         "log_base": "e",
         "rows": len(rows),
         "series": {},
@@ -360,7 +342,7 @@ def _suite_padic(args: argparse.Namespace, inject: bool, l_max: int = 10,
                  b_max: int = 50) -> dict:
     bp = BasisPair.of(args.bases[:2])
     if not all(bp.primality):
-        raise SystemExit("padic suite needs prime bases")
+        raise ValueError("padic suite needs prime bases")
     violations = 0
     max_ord = 0
     cases = 0
@@ -387,33 +369,28 @@ def _suite_padic(args: argparse.Namespace, inject: bool, l_max: int = 10,
     }
 
 
+_SUITES = {
+    "membership": _suite_membership,
+    "decomposition": _suite_decomposition,
+    "fourier": _suite_fourier,
+    "moments": _suite_moments,
+    "padic": _suite_padic,
+}
+VERIFY_SUITES = tuple(_SUITES)
+
+
 def cmd_verify(args) -> int:
-    runners = {
-        "membership": _suite_membership,
-        "decomposition": _suite_decomposition,
-        "fourier": _suite_fourier,
-        "moments": _suite_moments,
-        "padic": _suite_padic,
-    }
-    suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
-    reports = []
-    ok = True
-    for name in suites:
-        rep = runners[name](args, args.inject_fault)
-        reports.append(rep)
-        ok = ok and rep["pass"]
-    out = {
+    names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
+    reports = [_SUITES[name](args, args.inject_fault) for name in names]
+    ok = all(rep["pass"] for rep in reports)
+    _emit({
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "seed": args.seed,
         "bases": list(args.bases),
         "suites": reports,
         "pass": ok,
-    }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(out, sort_keys=True) + "\n")
-    _emit(out)
+    }, args.out)
     return 0 if ok else 1
 
 
@@ -449,7 +426,7 @@ def cmd_clt(args) -> int:
     ps = point_set("hammersley", bases, 0, n)
     pts = ps.float_matrix()
 
-    if args.d2_mode == "pairsum" or (args.d2_mode == "auto" and n <= PAIRSUM_MAX):
+    if n <= PAIRSUM_MAX:
         d2sq = l2_discrepancy_squared(ps, mode="float").as_float()
         d2_mode_used = "pairsum"
         norm_draws = 0
@@ -483,34 +460,26 @@ def cmd_clt(args) -> int:
     if args.samples == 0:
         report["ks_defined"] = False
         report["histogram"] = {"edges": [], "counts": []}
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(report, sort_keys=True) + "\n")
-        _emit(report)
-        return 0
-
-    rng = _rng(args.seed, 2)
-    xs = rng.random((args.samples, dim))
-    d = _counts_below(pts, xs) - n * xs.prod(axis=1)
-    t = d / d2
-    edges = np.linspace(-5.0, 5.0, 41)
-    counts, _ = np.histogram(t, bins=edges)
-    report.update({
-        "ks_defined": True,
-        "ks": _ks_to_normal(t),
-        "mean": float(t.mean()),
-        "sd": float(t.std()),
-        "kappa1_ratio": float(np.abs(t).mean() / math.sqrt(2.0 / math.pi)),
-        "kappa4_ratio": float((t ** 4).mean() / 3.0),
-        "histogram": {
-            "edges": [float(e) for e in edges],
-            "counts": [int(c) for c in counts],
-        },
-    })
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, sort_keys=True) + "\n")
-    _emit(report)
+    else:
+        rng = _rng(args.seed, 2)
+        xs = rng.random((args.samples, dim))
+        d = _counts_below(pts, xs) - n * xs.prod(axis=1)
+        t = d / d2
+        edges = np.linspace(-5.0, 5.0, 41)
+        counts, _ = np.histogram(t, bins=edges)
+        report.update({
+            "ks_defined": True,
+            "ks": _ks_to_normal(t),
+            "mean": float(t.mean()),
+            "sd": float(t.std()),
+            "kappa1_ratio": float(np.abs(t).mean() / math.sqrt(2.0 / math.pi)),
+            "kappa4_ratio": float((t ** 4).mean() / 3.0),
+            "histogram": {
+                "edges": [float(e) for e in edges],
+                "counts": [int(c) for c in counts],
+            },
+        })
+    _emit(report, args.out)
     return 0
 
 
@@ -531,7 +500,7 @@ def cmd_padic_scan(args) -> int:
 
 def _add_point_set(sp) -> None:
     """The flags that pick the point set of generate and discrepancy."""
-    sp.add_argument("--bases", type=_parse_bases, default=(2, 3))
+    sp.add_argument("--bases", type=_parse_int_list, default=(2, 3))
     sp.add_argument("--q", type=int, default=0)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--kind", choices=("halton", "hammersley", "van_der_corput"),
@@ -565,8 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("scaling", help="D2 against log N over a grid",
                         allow_abbrev=False)
-    sc.add_argument("--bases", type=_parse_bases, default=(2, 3))
-    sc.add_argument("--mode", choices=("exact", "float"), default="exact")
+    sc.add_argument("--bases", type=_parse_int_list, default=(2, 3))
     sc.add_argument("--out", default=None)
     sc.add_argument("--n-grid", type=_parse_int_list, default=None)
     sc.add_argument("--j-min", type=int, default=4)
@@ -576,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run identity audit suites",
                        allow_abbrev=False)
-    v.add_argument("--bases", type=_parse_bases, default=(2, 3))
+    v.add_argument("--bases", type=_parse_int_list, default=(2, 3))
     v.add_argument("--q", type=int, default=0)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
@@ -592,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, default=1 << 12)
     c.add_argument("--samples", type=int, default=10 ** 4)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--d2-mode", choices=("auto", "pairsum", "mc"), default="auto")
     c.add_argument("--norm-samples", type=int, default=1 << 16)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_clt)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .radical import (BasisPair, PointSet, _leading_digits, _reverse_digits,
                       point_set)
-from .residue import ResidueData, TruncIndex, _corner_digits, crt_inverses
+from .residue import (ResidueData, TruncIndex, _check_window, _corner_digits,
+                      crt_inverses)
 
 EXACT_DEFAULT_MAX = 1 << 12
 
@@ -46,8 +47,7 @@ def _as_fractions(x: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in x)
 
 
-def local_discrepancy(x: Sequence, pointset: PointSet,
-                      mode: str = "exact") -> DiscrepancyValue:
+def local_discrepancy(x: Sequence, pointset: PointSet) -> DiscrepancyValue:
     """Point count in the box [0,x1) x ... x [0,xs) minus the expected N*x1*...*xs.
 
     Box sides are half-open on the right.  Corner coordinates may be 0 (empty
@@ -68,12 +68,7 @@ def local_discrepancy(x: Sequence, pointset: PointSet,
     vol = Fraction(1)
     for xi in xs:
         vol *= xi
-    exact = count - pointset.count * vol
-    if mode == "exact":
-        return DiscrepancyValue(exact, "exact")
-    if mode == "float":
-        return DiscrepancyValue(float(exact), "float")
-    raise ValueError(f"unknown mode {mode!r}")
+    return DiscrepancyValue(count - pointset.count * vol, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +316,7 @@ def truncated_discrepancy(x: Sequence, q_start: int, n_count: int,
     The depth is base-2 regardless of the bases in play.  Exact.
     """
     bp = BasisPair.of(bases)
-    if n_count < 1:
-        raise ValueError(f"count must be >= 1, got {n_count}")
+    _check_window(q_start, n_count)
     depth = n_count.bit_length()
     xt = truncate_digits(x, (depth, depth), bp)
     ps = point_set("halton", bp.as_tuple(), q_start, n_count)
@@ -372,6 +366,7 @@ def decomposition_term(x: Sequence, r: TruncIndex, q_start: int, n_count: int,
     r1, r2 = r
     if r1 < 1 or r2 < 1:
         raise ValueError(f"layer depths must be >= 1, got {r}")
+    _check_window(q_start, n_count)
     p1, p2 = bp.as_tuple()
     t1, t2 = _corner_digits(x, (p1, p2), r)
     if t1 % p1 == 0 or t2 % p2 == 0:
@@ -386,6 +381,7 @@ def decomposition_layers(x: Sequence, q_start: int, n_count: int,
                          ) -> dict[TruncIndex, Fraction]:
     """All layers (r1, r2) in [1, n]^2 for n = floor(log2 N) + 1, as exact values."""
     bp = BasisPair.of(bases)
+    _check_window(q_start, n_count)
     depth = n_count.bit_length()
     out: dict[TruncIndex, Fraction] = {}
     for r1 in range(1, depth + 1):

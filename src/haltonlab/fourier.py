@@ -28,6 +28,7 @@ from .radical import BasisPair
 from .residue import (
     TruncIndex,
     _box_class,
+    _check_window,
     _corner_digits,
     crt_inverses,
     signed_rep,
@@ -85,8 +86,7 @@ def window_fourier_coefficient(r: TruncIndex, q_start: int, n_count: int,
     window = signed_residues(rd.P)
     if m == 0 or m not in window:
         raise ValueError(f"m must be a nonzero signed residue mod {rd.P}, got {m}")
-    if n_count < 1:
-        raise ValueError(f"count must be >= 1, got {n_count}")
+    _check_window(q_start, n_count)
     _check_phase_modulus(rd.P)
     return complex(_window_terms(rd.P, q_start, n_count,
                                  np.array([m], dtype=np.int64))[0])
@@ -137,6 +137,7 @@ def decomposition_term_fourier(x: Sequence, r: TruncIndex, q_start: int,
     r1, r2 = r
     if r1 < 1 or r2 < 1:
         raise ValueError(f"layer depths must be >= 1, got {r}")
+    _check_window(q_start, n_count)
     rd = crt_inverses(bp, r)
     _check_phase_modulus(rd.P)
     lead1, lead2 = _corner_digits(x, bp.as_tuple(), r)
@@ -311,8 +312,7 @@ def second_moment_block(lam: tuple[int, int], n_count: int, q_start: int,
     bp = BasisPair.of(bases)
     if n > TINY_SCALE_CAP:
         raise ValueError(f"n = {n} exceeds the tiny-scale cap {TINY_SCALE_CAP}")
-    if n_count < 1:
-        raise ValueError(f"count must be >= 1, got {n_count}")
+    _check_window(q_start, n_count)
     pairs = _partition_pairs(tuple(lam), n, v_threshold, vv_threshold)
     if not pairs:
         return (0.0, 0.0)

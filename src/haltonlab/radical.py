@@ -314,6 +314,8 @@ def load_csv(path: str) -> PointSet:
         rows = [tuple(Fraction(int(num), int(den))
                       for num, den in (c.split("/") for c in line.split(",")))
                 for line in map(str.strip, fh) if line]
+    if not rows:
+        raise ValueError(f"{path}: no point rows")
     bases = tuple(int(b) for b in meta["bases"].split(","))
     dens, cols = _exact_columns(rows, dim)
     return PointSet(dens, cols, bases, int(meta["start"]), int(meta["count"]),

@@ -47,6 +47,15 @@ def crt_inverses(bases: BasisPair | Sequence[int], r: TruncIndex) -> ResidueData
     return _crt_cached(bp.p1, bp.p2, r1, r2)
 
 
+def _check_window(q_start: int, n_count: int) -> None:
+    """Reject an index window [q_start, q_start + n_count) that is empty or
+    starts below 0."""
+    if n_count < 1:
+        raise ValueError(f"count must be >= 1, got {n_count}")
+    if q_start < 0:
+        raise ValueError(f"start must be >= 0, got {q_start}")
+
+
 @lru_cache(maxsize=4096)
 def _crt_cached(p1: int, p2: int, r1: int, r2: int) -> ResidueData:
     q1, q2 = p1 ** r1, p2 ** r2

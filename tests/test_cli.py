@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -61,6 +62,8 @@ def test_verbs_reject_flags_they_do_not_read(tmp_path, capsys):
                  ["verify", "--suite", "moments", "--v-override", "1"],
                  ["verify", "--suite", "moments", "--vv-override", "1"],
                  ["padic-scan", "--l-max", "3", "--b-max", "3", "--min-ord", "2"],
+                 ["scaling", "--n-grid", "16", "--mode", "exact"],
+                 ["clt", "--n", "64", "--samples", "0", "--d2-mode", "mc"],
                  # prefixes of --q-list and --inject-fault are not flags
                  ["scaling", "--n-grid", "16", "--q", "7"],
                  ["verify", "--inject"]):
@@ -99,8 +102,6 @@ def test_discrepancy_local(capsys):
                               "--x", "1/2,1/2", "--n", "1"])
     assert code == 0
     assert (rep["value_num"], rep["value_den"]) == (3, 4)
-    with pytest.raises(SystemExit):
-        main(["discrepancy", "--metric", "local", "--n", "1"])
 
 
 def test_discrepancy_float_mode(capsys):
@@ -113,8 +114,8 @@ def test_discrepancy_float_mode(capsys):
 
 def test_discrepancy_report_layout(capsys):
     # Every metric reports value_f64; exact values add their numerator and
-    # denominator.  star is exact whatever --mode says, and "mode" names
-    # how the value was computed.
+    # denominator.  star and local are exact whatever --mode says, and
+    # "mode" names how the value was computed.
     common = {"schema_version", "command", "metric", "mode", "kind", "bases",
               "q", "n", "value_f64"}
     exact = common | {"value_num", "value_den"}
@@ -123,7 +124,7 @@ def test_discrepancy_report_layout(capsys):
                               (["--metric", "local", "--x", "1/2,2/3"],
                                "exact", exact),
                               (["--metric", "local", "--x", "1/2,2/3"],
-                               "float", common)):
+                               "float", exact)):
         code, rep = _run(capsys, ["discrepancy", "--n", "32", "--mode", mode]
                          + extra)
         assert code == 0
@@ -148,7 +149,7 @@ def test_scaling_json_and_csv(tmp_path, capsys):
     assert set(series) == {"count", "slope", "mean_ratio", "min_sqrt_ratio"}
 
     lines = path.read_text().splitlines()
-    assert lines[0] == "n,q,d2,d2_over_logn,d2_over_sqrtlogn,wall_time_ms"
+    assert lines[0] == "n,q,d2,d2_over_logn,d2_over_sqrtlogn"
     first = lines[1].split(",")
     assert first[0] == "16" and first[1] == "0"
     want = math.sqrt(float(l2_discrepancy_squared(
@@ -165,19 +166,15 @@ def test_scaling_determinism(tmp_path, capsys):
             "scaling", "--n-grid", "16,64", "--q-list", "0,7",
             "--out", str(path)])
         assert code == 0
-        stripped = "\n".join(
-            ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines())
-        outs.append((stripped, json.dumps(rep, sort_keys=True)))
+        outs.append((path.read_bytes(), json.dumps(rep, sort_keys=True)))
     assert outs[0] == outs[1]
 
 
 def test_scaling_guards(tmp_path, capsys):
-    code, rep = _run(capsys, ["scaling", "--n-grid", "8192",
-                              "--mode", "exact"])
+    code, rep = _run(capsys, ["scaling", "--n-grid", "8192"])
     assert code == 0
     assert rep["rows"] == 1
-    with pytest.raises(SystemExit):
-        main(["scaling", "--n-grid", "1,16"])
+    assert rep["mode"] == "exact"
 
 
 def test_verify_all_passes(capsys):
@@ -235,9 +232,9 @@ def test_clt_no_samples(tmp_path, capsys):
 
 
 def test_clt_mc_mode(capsys):
-    code, rep = _run(capsys, ["clt", "--s", "2", "--n", "64",
-                              "--samples", "50", "--d2-mode", "mc",
-                              "--norm-samples", "512"])
+    # Above PAIRSUM_MAX points D2 comes from Monte Carlo draws.
+    code, rep = _run(capsys, ["clt", "--s", "2", "--n", "4097",
+                              "--samples", "50", "--norm-samples", "512"])
     assert code == 0
     assert rep["d2_mode"] == "mc"
     assert rep["norm_draws"] == 512
@@ -264,6 +261,46 @@ def test_padic_scan_cli(tmp_path, capsys):
 
 def test_moment_bound_constant_is_pinned():
     assert MOMENT_RATIO_BOUND == 1.0
+
+
+def test_bad_values_exit_2_with_an_error_line(capsys):
+    # verify exits 1 only when a suite fails; a bad value is exit 2.
+    for argv in (["discrepancy", "--n", "4", "--metric", "local"],
+                 ["scaling", "--n-grid", "1,16"],
+                 ["verify", "--suite", "padic", "--bases", "4,9"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+# sha256 of outputs that no libm or numpy float arithmetic reaches: exact
+# values, integer draws, and Python's correctly rounded Fraction -> float.
+PINNED_STDOUT = {
+    ("discrepancy", "--n", "300", "--q", "1000000"):
+        "a38bbef3b1f3317dbadbbe0beddf84d31cf7888873a2898ab5650e31f3d6e1bc",
+    ("discrepancy", "--n", "256", "--metric", "star"):
+        "a3810757af415e55540307e91d02ba1ec48e378e98ef7be80a3437aec0169ff5",
+    ("discrepancy", "--n", "256", "--metric", "local", "--x", "1/2,2/3"):
+        "717a34f4b4cc352e8d3a7a1f38f4b2f3a41453d9f6ebf1fcec78dd7d31c98633",
+    ("verify", "--suite", "membership", "--seed", "42"):
+        "01f40573c000b933293cbaf04095046c6a050226849eb0ef9ad3bb38521fe5ed",
+    ("verify", "--suite", "decomposition", "--seed", "42"):
+        "cfda0363c9a568f00929ca0f6ada4e13a58b8ef870e6e73ea2b2cb9f011621d6",
+}
+PINNED_GENERATE_N50_CSV = \
+    "6e97d7e09f9a917988ddbf07e24c2505b87d32ee3e36cdb7615a7041cff1660b"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_exact_outputs_are_pinned_by_digest(tmp_path, capsys):
+    for argv, digest in PINNED_STDOUT.items():
+        assert main(list(argv)) == 0
+        assert _sha256(capsys.readouterr().out.encode()) == digest, argv
+    path = tmp_path / "pts.csv"
+    assert main(["generate", "--n", "50", "--out", str(path)]) == 0
+    assert _sha256(path.read_bytes()) == PINNED_GENERATE_N50_CSV
 
 
 def test_bad_argument_values_exit_via_argparse(capsys):

@@ -78,10 +78,6 @@ def test_local_rejections_and_modes():
         local_discrepancy((F(1, 2),), ps)
     with pytest.raises(ValueError):
         local_discrepancy((F(3, 2), F(1, 2)), ps)
-    with pytest.raises(ValueError):
-        local_discrepancy((F(1, 2), F(1, 2)), ps, mode="bogus")
-    fv = local_discrepancy((F(1, 2), F(1, 2)), ps, mode="float")
-    assert fv.mode == "float" and isinstance(fv.value, float)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +345,20 @@ def test_decomposition_term_zero_on_zero_digit():
 def test_decomposition_term_depth_rejection():
     with pytest.raises(ValueError):
         decomposition_term((F(1, 2), F(1, 3)), (0, 1), 0, 4, (2, 3))
+
+
+def test_decomposition_term_rejects_empty_and_negative_windows():
+    x = (F(1, 2), F(1, 3))
+    for q, n in ((0, 0), (0, -5), (-3, 10)):
+        with pytest.raises(ValueError):
+            decomposition_term(x, (2, 2), q, n, (2, 3))
+
+
+def test_decomposition_layers_rejects_empty_and_negative_windows():
+    x = (F(3, 4), F(5, 9))
+    for q, n in ((0, 0), (0, -5), (-3, 10)):
+        with pytest.raises(ValueError):
+            decomposition_layers(x, q, n, (2, 3))
 
 
 def test_layers_sum_to_truncated_discrepancy():

@@ -98,6 +98,8 @@ def test_phi_rejections():
         window_fourier_coefficient((1, 1), 0, 5, 4, (2, 3))
     with pytest.raises(ValueError):
         window_fourier_coefficient((1, 1), 0, 0, 1, (2, 3))
+    with pytest.raises(ValueError):
+        window_fourier_coefficient((1, 1), -1, 5, 1, (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +169,13 @@ def test_fourier_layer_zero_cases():
     assert abs(z) < 1e-12
     with pytest.raises(ValueError):
         decomposition_term_fourier((F(1, 2), F(1, 3)), (1, 0), 0, 5, (2, 3))
+
+
+def test_fourier_layer_rejects_empty_and_negative_windows():
+    x = (F(1, 2), F(1, 3))
+    for q, n in ((0, 0), (0, -5), (-3, 10)):
+        with pytest.raises(ValueError):
+            decomposition_term_fourier(x, (2, 2), q, n, (2, 3))
 
 
 def _corner_with_nonzero_last_digits(rng, r, bases):
@@ -414,6 +423,8 @@ def test_second_moment_guards():
         second_moment_block((0, 0), 2, 0, (2, 3), 5, 0, 0)
     with pytest.raises(ValueError):
         second_moment_block((0, 0), 0, 0, (2, 3), 2, 0, 0)
+    with pytest.raises(ValueError):
+        second_moment_block((0, 0), 2, -1, (2, 3), 2, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,13 @@ def test_csv_round_trip(tmp_path):
     assert header[2] == "0/1,0/1" or header[2].count("/") == 2
 
 
+def test_load_csv_rejects_a_file_without_points(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# kind=explicit bases=2,3 start=0 count=0\nx1,x2\n")
+    with pytest.raises(ValueError):
+        load_csv(str(path))
+
+
 def test_save_csv_writes_reduced_fractions_from_columns(tmp_path):
     # k/12 reduces for most k, so every coordinate goes through a gcd.
     ps = point_set("hammersley", (2, 3), 0, 12)
