@@ -193,8 +193,7 @@ def cmd_scaling(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
-def _suite_membership(args: argparse.Namespace, inject: bool) -> dict:
-    bp = BasisPair.of(args.bases[:2])
+def _suite_membership(args, bp: BasisPair, inject: bool) -> dict:
     s = (2, 2)
     q1, q2 = bp.p1 ** 2, bp.p2 ** 2
     period = q1 * q2
@@ -224,9 +223,8 @@ def _suite_membership(args: argparse.Namespace, inject: bool) -> dict:
     }
 
 
-def _suite_decomposition(args: argparse.Namespace, inject: bool,
+def _suite_decomposition(args, bp: BasisPair, inject: bool,
                          cases: int = 25) -> dict:
-    bp = BasisPair.of(args.bases[:2])
     rng = _rng(args.seed, 2)
     violations = 0
     max_err = Fraction(0)
@@ -272,9 +270,8 @@ def _depth_pairs_within(bp: BasisPair, p_cap: int) -> list[tuple[int, int]]:
     return out
 
 
-def _suite_fourier(args: argparse.Namespace, inject: bool,
+def _suite_fourier(args, bp: BasisPair, inject: bool,
                    cases_per_depth: int = 5, p_cap: int = 200) -> dict:
-    bp = BasisPair.of(args.bases[:2])
     rng = _rng(args.seed, 3)
     violations = 0
     max_rel = 0.0
@@ -306,8 +303,7 @@ def _suite_fourier(args: argparse.Namespace, inject: bool,
     }
 
 
-def _suite_moments(args: argparse.Namespace, inject: bool) -> dict:
-    bp = BasisPair.of(args.bases[:2])
+def _suite_moments(args, bp: BasisPair, inject: bool) -> dict:
     violations = 0
     max_ratio = 0.0
     cases = 0
@@ -338,11 +334,8 @@ def _suite_moments(args: argparse.Namespace, inject: bool) -> dict:
     }
 
 
-def _suite_padic(args: argparse.Namespace, inject: bool, l_max: int = 10,
+def _suite_padic(args, bp: BasisPair, inject: bool, l_max: int = 10,
                  b_max: int = 50) -> dict:
-    bp = BasisPair.of(args.bases[:2])
-    if not all(bp.primality):
-        raise ValueError("padic suite needs prime bases")
     violations = 0
     max_ord = 0
     cases = 0
@@ -380,8 +373,13 @@ VERIFY_SUITES = tuple(_SUITES)
 
 
 def cmd_verify(args) -> int:
+    if len(args.bases) != 2:
+        raise ValueError(f"verify needs exactly two bases, got {len(args.bases)}")
+    bp = BasisPair.of(args.bases)
     names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
-    reports = [_SUITES[name](args, args.inject_fault) for name in names]
+    if "padic" in names and not all(bp.primality):
+        raise ValueError("padic suite needs prime bases")
+    reports = [_SUITES[name](args, bp, args.inject_fault) for name in names]
     ok = all(rep["pass"] for rep in reports)
     _emit({
         "schema_version": SCHEMA_VERSION,
@@ -419,6 +417,8 @@ def _ks_to_normal(sample: np.ndarray) -> float:
 
 
 def cmd_clt(args) -> int:
+    if args.norm_samples < 1:
+        raise ValueError(f"--norm-samples must be >= 1, got {args.norm_samples}")
     s = args.s
     n = args.n
     dim = s + 1

@@ -67,8 +67,7 @@ def _window_terms(P: int, q_start: int, n_count: int, m: np.ndarray,
     so the term is sin(pi*a/P) / (P*sin(pi*m/P)) * exp(i*pi*k/P) with a the
     signed residue of m*N mod P and k = 2*m*(q - shift) + a - m mod 2P.
     """
-    h = (P - 1) // 2
-    a = (m * (n_count % P) + h) % P - h
+    a = signed_rep(m * (n_count % P), P)
     k = (2 * (m * ((q_start - shift) % P) % P) + a - m) % (2 * P)
     return (np.sin(np.pi * (a / P)) / (P * np.sin(np.pi * (m / P)))
             * _half_turns(k, P))
@@ -83,8 +82,7 @@ def window_fourier_coefficient(r: TruncIndex, q_start: int, n_count: int,
     The magnitude never exceeds 1/max(1, |m|) for m in the signed window.
     """
     rd = crt_inverses(BasisPair.of(bases), r)
-    window = signed_residues(rd.P)
-    if m == 0 or m not in window:
+    if m == 0 or m not in signed_residues(rd.P):
         raise ValueError(f"m must be a nonzero signed residue mod {rd.P}, got {m}")
     _check_window(q_start, n_count)
     _check_phase_modulus(rd.P)
@@ -114,8 +112,7 @@ def cell_fourier_factor(r: TruncIndex, m: int, x: Sequence,
     """
     bp = BasisPair.of(bases)
     rd = crt_inverses(bp, r)
-    window = signed_residues(rd.P)
-    if m not in window:
+    if m not in signed_residues(rd.P):
         raise ValueError(f"m must be a signed residue mod {rd.P}, got {m}")
     t1, t2 = _corner_digits(x, bp.as_tuple(), r)
     f1 = _axis_cell_table(bp.p1, t1 % bp.p1)[(m * rd.M1) % bp.p1]
@@ -147,9 +144,10 @@ def decomposition_term_fourier(x: Sequence, r: TruncIndex, q_start: int,
     P = rd.P
     t1, t2 = _axis_cell_table(bp.p1, d1), _axis_cell_table(bp.p2, d2)
     corner = _box_class(lead1, lead2, r, rd)
+    window = signed_residues(P)
     total = 0j
-    for lo in range(-((P - 1) // 2), P // 2 + 1, FREQUENCY_BLOCK):
-        m = np.arange(lo, min(lo + FREQUENCY_BLOCK, P // 2 + 1), dtype=np.int64)
+    for lo in range(window.start, window.stop, FREQUENCY_BLOCK):
+        m = np.arange(lo, min(lo + FREQUENCY_BLOCK, window.stop), dtype=np.int64)
         m = m[m != 0]
         psi = (t1[m * (rd.M1 % bp.p1) % bp.p1]
                * t2[m * (rd.M2 % bp.p2) % bp.p2])
@@ -178,16 +176,17 @@ class DigitSplit:
     order: tuple[tuple[int, int], tuple[int, int]]
 
 
-def _split_axis(mhat: int, p: int, rplus: int, rminus: int) -> tuple[int, int]:
+def _split_axis(mhat, p: int, rplus: int, rminus: int):
     """Split mhat mod p^rplus as low*p^(rplus-rminus) + high.
 
     high lies in the signed window mod p^(rplus-rminus) and low in the signed
     window mod p^rminus; the pair is unique.  Returns (low, high): low is the
     coefficient of the smaller-depth member, high of the larger-depth member.
+    mhat may be an int or an integer numpy array.
     """
     sgap = p ** (rplus - rminus)
-    high = signed_rep(mhat % sgap, sgap)
-    low = signed_rep(((mhat - high) // sgap) % p ** rminus, p ** rminus)
+    high = signed_rep(mhat, sgap)
+    low = signed_rep((mhat - high) // sgap, p ** rminus)
     return low, high
 
 
@@ -221,7 +220,7 @@ def digit_split(m1: int, m2: int, r_pair: DepthPair,
     """Fold (m1, m2) per axis and split each fold into its signed windows."""
     moduli, axes = _plan_of(bases, r_pair)
     for m, P in zip((m1, m2), moduli):
-        if m == 0 or not -((P - 1) // 2) <= m <= P // 2:
+        if m == 0 or m not in signed_residues(P):
             raise ValueError(
                 f"frequency {m} outside the nonzero signed window mod {P}"
             )
@@ -276,12 +275,11 @@ def partition_label(br_1: TruncIndex, br_2: TruncIndex, v_threshold: int,
 
 def _partition_pairs(lam: tuple[int, int], n: int, v_threshold: int,
                      vv_threshold: int) -> list[DepthPair]:
-    depths = [(r1, r2) for r1 in range(1, n + 1) for r2 in range(1, n + 1)]
-    out = []
-    for br_1, br_2 in product(depths, depths):
-        if partition_label(br_1, br_2, v_threshold, vv_threshold) == lam:
-            out.append((br_1, br_2))
-    return out
+    if n > TINY_SCALE_CAP:
+        raise ValueError(f"n = {n} exceeds the tiny-scale cap {TINY_SCALE_CAP}")
+    depths = list(product(range(1, n + 1), repeat=2))
+    return [(br_1, br_2) for br_1, br_2 in product(depths, repeat=2)
+            if partition_label(br_1, br_2, v_threshold, vv_threshold) == lam]
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +308,19 @@ def second_moment_block(lam: tuple[int, int], n_count: int, q_start: int,
     product of reciprocal split-coefficient magnitudes.  Returns (lhs, rhs).
     """
     bp = BasisPair.of(bases)
-    if n > TINY_SCALE_CAP:
-        raise ValueError(f"n = {n} exceeds the tiny-scale cap {TINY_SCALE_CAP}")
     _check_window(q_start, n_count)
     pairs = _partition_pairs(tuple(lam), n, v_threshold, vv_threshold)
     if not pairs:
         return (0.0, 0.0)
     p1, p2 = bp.as_tuple()
 
-    tables: dict[TruncIndex, dict[tuple[int, int], Fraction]] = {}
-    for br_1, br_2 in pairs:
-        for br in (br_1, br_2):
-            if br not in tables:
-                tables[br] = _layer_table(br, q_start, n_count, bp)
+    tables = {br: _layer_table(br, q_start, n_count, bp)
+              for br in {br for pair in pairs for br in pair}}
 
     lhs = Fraction(0)
     rhs = 0.0
     for br_1, br_2 in pairs:
-        t1 = max(br_1[0], br_2[0])
-        t2 = max(br_1[1], br_2[1])
-        g1, g2 = p1 ** t1, p2 ** t2
+        g1, g2 = p1 ** max(br_1[0], br_2[0]), p2 ** max(br_1[1], br_2[1])
         tb1, tb2 = tables[br_1], tables[br_2]
         q11, q21 = p1 ** br_1[0], p2 ** br_1[1]
         q12, q22 = p1 ** br_2[0], p2 ** br_2[1]
@@ -343,33 +334,42 @@ def second_moment_block(lam: tuple[int, int], n_count: int, q_start: int,
     return (abs(float(lhs)), rhs)
 
 
-def _axis_split_weights(p: int, rplus: int, rminus: int) -> np.ndarray:
-    """Reciprocal split magnitudes per folded frequency class on one axis."""
-    q = p ** rplus
-    out = np.empty(q)
-    for mhat in range(q):
-        low, high = _split_axis(mhat, p, rplus, rminus)
-        out[mhat] = 1.0 / (max(1, abs(low)) * max(1, abs(high)))
-    return out
+def _axis_split_weights(p: int, rplus: int, rminus: int,
+                        cap: float = math.inf) -> np.ndarray:
+    """Reciprocal split magnitudes per folded frequency class on one axis.
+
+    A class whose split has a coefficient above cap in magnitude gets 0.
+    """
+    low, high = _split_axis(np.arange(p ** rplus, dtype=np.int64), p, rplus,
+                            rminus)
+    low, high = np.abs(low), np.abs(high)
+    return np.where((low <= cap) & (high <= cap),
+                    1.0 / (np.maximum(1, low) * np.maximum(1, high)), 0.0)
 
 
-def _class_sums(values: np.ndarray, weights: np.ndarray, modulus: int
-                ) -> np.ndarray:
-    out = np.zeros(modulus)
-    np.add.at(out, values % modulus, weights)
-    return out
+def _class_sums(values: np.ndarray, modulus: int) -> np.ndarray:
+    """Sum of 1/max(1, |v|) over the values v in each class mod modulus."""
+    return np.bincount(values % modulus,
+                       weights=1.0 / np.maximum(1, np.abs(values)),
+                       minlength=modulus)
 
 
-def _fold_matrix(axes, pplus: int):
-    """Folded-frequency class per (class of m1, class of m2) as index arrays."""
+def _fold_grid_sums(axes, pplus: int, w0: np.ndarray, w1: np.ndarray,
+                    *axis_weights) -> list[float]:
+    """Sum of w0[c1]*w1[c2]*s0[fold0]*s1[fold1] over all classes c1, c2 mod
+    pplus, once per pair (s0, s1) of per-axis weight arrays.
+
+    fold_i is the folded-frequency class of (c1, c2) on axis i, built once.
+    """
     c = np.arange(pplus, dtype=np.int64)
-    mats = []
+    folds = []
     for p, rplus, _, _, _, weights in axes:
         q = p ** rplus
-        alpha = (-(weights[0] * c)) % q
-        beta = (-(weights[1] * c)) % q
-        mats.append((alpha[:, None] + beta[None, :]) % q)
-    return mats
+        folds.append((((-(weights[0] * c)) % q)[:, None]
+                      + ((-(weights[1] * c)) % q)[None, :]) % q)
+    outer = w0[:, None] * w1[None, :]
+    return [float((outer * s0[folds[0]] * s1[folds[1]]).sum())
+            for s0, s1 in axis_weights]
 
 
 def _majorant_pair(bp: BasisPair, pair: DepthPair) -> float:
@@ -377,14 +377,12 @@ def _majorant_pair(bp: BasisPair, pair: DepthPair) -> float:
     pplus = math.prod(p ** rplus for p, rplus, *_ in axes)
     ws = []
     for P in moduli:
-        ms = np.array([m for m in signed_residues(P) if m], dtype=np.int64)
-        ws.append(_class_sums(ms, 1.0 / np.abs(ms), pplus))
+        window = signed_residues(P)
+        ms = np.arange(window.start, window.stop, dtype=np.int64)
+        ws.append(_class_sums(ms[ms != 0], pplus))
     split_w = [_axis_split_weights(p, rplus, rminus)
                for p, rplus, rminus, *_ in axes]
-    mats = _fold_matrix(axes, pplus)
-    grid = (ws[0][:, None] * ws[1][None, :]
-            * split_w[0][mats[0]] * split_w[1][mats[1]])
-    return float(grid.sum())
+    return _fold_grid_sums(axes, pplus, ws[0], ws[1], split_w)[0]
 
 
 def resonance_sums(lam: tuple[int, int], bases: BasisPair | Sequence[int],
@@ -400,8 +398,6 @@ def resonance_sums(lam: tuple[int, int], bases: BasisPair | Sequence[int],
     +-m_cap box.  Windowed <= unconstrained always.  Returns the pair.
     """
     bp = BasisPair.of(bases)
-    if n > TINY_SCALE_CAP:
-        raise ValueError(f"n = {n} exceeds the tiny-scale cap {TINY_SCALE_CAP}")
     if m_cap is None:
         m_cap = min(n ** 10, 10 ** 4)
     if m_cap < 1:
@@ -409,40 +405,22 @@ def resonance_sums(lam: tuple[int, int], bases: BasisPair | Sequence[int],
     pairs = _partition_pairs(tuple(lam), n, v_threshold, vv_threshold)
     if not pairs:
         return (0.0, 0.0)
-    star_total = 0.0
-    sharp_total = 0.0
+    star_total = sharp_total = 0.0
     box = np.arange(-m_cap, m_cap + 1, dtype=np.int64)
-    box_w = 1.0 / np.maximum(1, np.abs(box))
     nz = box[box != 0]
-    nz_w = 1.0 / np.abs(nz)
     for pair in pairs:
         axes = _plan_of(bp, pair)[1]
         pplus = math.prod(p ** rplus for p, rplus, *_ in axes)
-        w_m = [_class_sums(nz, nz_w, pplus) for _ in range(2)]
+        w_m = _class_sums(nz, pplus)
         s_star, s_sharp = [], []
         for p, rplus, rminus, *_ in axes:
             q = p ** rplus
-            sgap = p ** (rplus - rminus)
-            g = _class_sums(box, box_w, q)
-            sharp_i = np.empty(q)
-            for target in range(q):
-                acc = 0.0
-                for d in range(q):
-                    acc += g[d] * g[(target - d * sgap) % q]
-                sharp_i[target] = acc
-            star_i = np.empty(q)
-            for target in range(q):
-                low, high = _split_axis(target, p, rplus, rminus)
-                if abs(low) > m_cap or abs(high) > m_cap:
-                    star_i[target] = 0.0
-                else:
-                    star_i[target] = 1.0 / (max(1, abs(low)) * max(1, abs(high)))
-            s_star.append(star_i)
-            s_sharp.append(sharp_i)
-        mats = _fold_matrix(axes, pplus)
-        outer = w_m[0][:, None] * w_m[1][None, :]
-        star_total += float((outer * s_star[0][mats[0]]
-                             * s_star[1][mats[1]]).sum())
-        sharp_total += float((outer * s_sharp[0][mats[0]]
-                              * s_sharp[1][mats[1]]).sum())
+            g = _class_sums(box, q)
+            # sharp[t] = sum over d of g[d] * g[(t - d * p^(rplus-rminus)) % q]
+            d = np.arange(q, dtype=np.int64)
+            shifted = (d[None, :] - d[:, None] * p ** (rplus - rminus)) % q
+            s_sharp.append((g[:, None] * g[shifted]).sum(axis=0))
+            s_star.append(_axis_split_weights(p, rplus, rminus, m_cap))
+        star, sharp = _fold_grid_sums(axes, pplus, w_m, w_m, s_star, s_sharp)
+        star_total, sharp_total = star_total + star, sharp_total + sharp
     return (star_total, sharp_total)

@@ -124,9 +124,10 @@ def signed_residues(M: int) -> range:
     return range(-((M - 1) // 2), M // 2 + 1)
 
 
-def signed_rep(a: int, M: int) -> int:
-    """The representative of a mod M inside the signed residue set."""
-    c = a % M
-    if c > M // 2:
-        c -= M
-    return c
+def signed_rep(a, M: int):
+    """The representative of a mod M inside the signed residue set.
+
+    a may be an int or an integer numpy array; arrays map elementwise.
+    """
+    h = (M - 1) // 2
+    return (a + h) % M - h

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from haltonlab import l2_discrepancy_squared, load_csv, point_set
+from haltonlab import cli
 from haltonlab.cli import MOMENT_RATIO_BOUND, VERIFY_SUITES, main
 
 F = Fraction
@@ -267,9 +268,27 @@ def test_bad_values_exit_2_with_an_error_line(capsys):
     # verify exits 1 only when a suite fails; a bad value is exit 2.
     for argv in (["discrepancy", "--n", "4", "--metric", "local"],
                  ["scaling", "--n-grid", "1,16"],
-                 ["verify", "--suite", "padic", "--bases", "4,9"]):
+                 ["verify", "--suite", "padic", "--bases", "4,9"],
+                 ["clt", "--n", "4097", "--samples", "0",
+                  "--norm-samples", "0"],
+                 ["clt", "--n", "4097", "--samples", "0",
+                  "--norm-samples", "-5"]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_checks_its_bases_before_any_suite(monkeypatch, capsys):
+    def must_not_run(*_):
+        raise AssertionError("a suite ran before the bases were checked")
+
+    monkeypatch.setitem(cli._SUITES, "membership", must_not_run)
+    for argv in (["verify", "--suite", "all", "--bases", "4,9"],
+                 ["verify", "--suite", "all", "--bases", "2,3,5"],
+                 ["verify", "--suite", "padic", "--bases", "2,3,5"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
 
 # sha256 of outputs that no libm or numpy float arithmetic reaches: exact
@@ -285,6 +304,8 @@ PINNED_STDOUT = {
         "01f40573c000b933293cbaf04095046c6a050226849eb0ef9ad3bb38521fe5ed",
     ("verify", "--suite", "decomposition", "--seed", "42"):
         "cfda0363c9a568f00929ca0f6ada4e13a58b8ef870e6e73ea2b2cb9f011621d6",
+    ("verify", "--suite", "padic", "--seed", "42"):
+        "803b68eec9fb9b767d86c1907046cbc6d3d6fdd0e50acf8bf03b6bc846b2f261",
 }
 PINNED_GENERATE_N50_CSV = \
     "6e97d7e09f9a917988ddbf07e24c2505b87d32ee3e36cdb7615a7041cff1660b"

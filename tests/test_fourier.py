@@ -403,6 +403,11 @@ def test_second_moment_rhs_matches_naive_majorant():
         want = sum(naive_pair_majorant((2, 3), br_1, br_2)
                    for br_1, br_2 in _cell_pairs(lam, 2, 0, 0))
         assert math.isclose(rhs, want, rel_tol=1e-9)
+    # At n = 3 the depth gap on an axis reaches 2.
+    for pair in (((3, 1), (1, 3)), ((3, 3), (1, 1))):
+        got = fourier._majorant_pair(BasisPair.of((2, 3)), pair)
+        assert math.isclose(got, naive_pair_majorant((2, 3), *pair),
+                            rel_tol=1e-9)
 
 
 def test_second_moment_one_depth_case():
@@ -431,13 +436,17 @@ def test_second_moment_guards():
 # resonance sums
 
 def test_resonance_matches_naive_enumeration():
-    for lam in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        star, sharp = resonance_sums(lam, (2, 3), 2, 0, 0, m_cap=4)
-        pairs = _cell_pairs(lam, 2, 0, 0)
-        want_star, want_sharp = naive_resonance((2, 3), pairs, 4)
-        assert math.isclose(star, want_star, rel_tol=1e-9, abs_tol=1e-12)
-        assert math.isclose(sharp, want_sharp, rel_tol=1e-9, abs_tol=1e-12)
-        assert star <= sharp * (1 + 1e-12)
+    # At n = 3 the depth gap rplus - rminus reaches 2, so the unconstrained
+    # sum's dilation by p^(rplus - rminus) also takes the value p^2.
+    for n in (2, 3):
+        for lam in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            star, sharp = resonance_sums(lam, (2, 3), n, 0, 0, m_cap=4)
+            pairs = _cell_pairs(lam, n, 0, 0)
+            want_star, want_sharp = naive_resonance((2, 3), pairs, 4)
+            assert math.isclose(star, want_star, rel_tol=1e-9, abs_tol=1e-12)
+            assert math.isclose(sharp, want_sharp, rel_tol=1e-9,
+                                abs_tol=1e-12)
+            assert star <= sharp * (1 + 1e-12)
 
 
 def test_resonance_empty_cell_and_guards():

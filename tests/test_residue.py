@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from haltonlab import (
@@ -252,6 +253,14 @@ def test_signed_rep_round_trip():
             r = signed_rep(a, M)
             assert r in w
             assert (r - a) % M == 0
+
+
+def test_signed_rep_maps_int_arrays_elementwise():
+    for M in range(1, 13):
+        a = np.arange(-3 * M, 3 * M + 1, dtype=np.int64)
+        got = signed_rep(a, M)
+        assert got.dtype == np.int64
+        assert got.tolist() == [signed_rep(int(v), M) for v in a]
 
 
 def test_delta_equals_averaged_exponential_sum():
