@@ -375,6 +375,8 @@ VERIFY_SUITES = tuple(_SUITES)
 def cmd_verify(args) -> int:
     if len(args.bases) != 2:
         raise ValueError(f"verify needs exactly two bases, got {len(args.bases)}")
+    if args.q < 0:
+        raise ValueError(f"--q must be >= 0, got {args.q}")
     bp = BasisPair.of(args.bases)
     names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     if "padic" in names and not all(bp.primality):
@@ -419,6 +421,8 @@ def _ks_to_normal(sample: np.ndarray) -> float:
 def cmd_clt(args) -> int:
     if args.norm_samples < 1:
         raise ValueError(f"--norm-samples must be >= 1, got {args.norm_samples}")
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     s = args.s
     n = args.n
     dim = s + 1

@@ -16,7 +16,7 @@ so results are run-to-run identical.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -224,17 +224,6 @@ def l2_discrepancy_squared(pointset: PointSet,
 # ---------------------------------------------------------------------------
 # star discrepancy, s <= 2
 
-def _star_1d(coords: Sequence[int], den: int, n: int) -> int:
-    """The 1-axis sweep on numerators over den; the result is over den."""
-    srt = sorted(coords)
-    best = 0
-    for v in sorted({0, *coords}):
-        best = max(best, bisect.bisect_right(srt, v) * den - n * v)
-    for v in sorted({c for c in coords if c > 0} | {den}):
-        best = max(best, n * v - bisect.bisect_left(srt, v) * den)
-    return best
-
-
 def star_discrepancy(pointset: PointSet) -> DiscrepancyValue:
     """Exact supremum of |local discrepancy| over corners in (0,1]^s, s <= 2.
 
@@ -242,49 +231,39 @@ def star_discrepancy(pointset: PointSet) -> DiscrepancyValue:
     either at its closed upper corner or as a limit at its open lower corner,
     so both corner families are enumerated symbolically; no epsilon nudges.
     The sweep runs on the integer numerators, every candidate over D1 D2.
+    Numerators are integers, so a < v is a <= v - 1 and one dominance sweep
+    serves both families: (shift, sign) = (0, +1) counts a <= v for +D
+    approached from above a lower corner, (1, -1) counts a <= v - 1 for -D
+    at a closed upper corner.  Each axis's candidates are {0, D_i} and its
+    numerators; the extras never win (+D at w = D_i is at most its value at
+    the largest numerator, -D at 0 is 0).  One axis is swept as a second
+    axis of 0s over 1 whose only candidate is 1.
     """
     n = pointset.count
     s = pointset.dim
     if s not in (1, 2):
         raise ValueError(f"star discrepancy implemented for s in {{1,2}}, got {s}")
-    if s == 1:
-        (den,), (col,) = pointset.dens, pointset.cols
-        return DiscrepancyValue(Fraction(_star_1d(col, den, n), den),
-                                "exact")
-
-    d1, d2 = pointset.dens
+    cols = pointset.cols if s == 2 else (*pointset.cols, (0,) * n)
+    d1, d2 = pointset.dens if s == 2 else (*pointset.dens, 1)
     big = d1 * d2
-    pts = sorted(zip(*pointset.cols))
-    xs_plus = sorted({0, *(p[0] for p in pts)})
-    ys_plus = sorted({0, *(p[1] for p in pts)})
+    pts = sorted(zip(*cols))
+    xs = sorted({0, d1, *cols[0]})
+    ys = sorted({0, d2, *cols[1]}) if s == 2 else [1]
     best = 0
-
-    # sup of +D: approached from above the lower-left corner of each cell;
-    # the count there includes points with coordinates <= the corner.
-    idx = 0
-    ys_seen: list[int] = []
-    for v in xs_plus:
-        while idx < n and pts[idx][0] <= v:
-            bisect.insort(ys_seen, pts[idx][1])
-            idx += 1
-        for w in ys_plus:
-            val = bisect.bisect_right(ys_seen, w) * big - n * v * w
-            if val > best:
-                best = val
-
-    # sup of -D: attained at the closed upper corner; strict counts there.
-    xs_minus = sorted({p[0] for p in pts if p[0] > 0} | {d1})
-    ys_minus = sorted({p[1] for p in pts if p[1] > 0} | {d2})
-    idx = 0
-    ys_seen = []
-    for v in xs_minus:
-        while idx < n and pts[idx][0] < v:
-            bisect.insort(ys_seen, pts[idx][1])
-            idx += 1
-        for w in ys_minus:
-            val = n * v * w - bisect.bisect_left(ys_seen, w) * big
-            if val > best:
-                best = val
+    for shift, sign in ((0, 1), (1, -1)):
+        sbig = sign * big
+        cands = [(w - shift, w) for w in ys]
+        idx = 0
+        ys_seen: list[int] = []
+        for v in xs:
+            while idx < n and pts[idx][0] <= v - shift:
+                insort(ys_seen, pts[idx][1])
+                idx += 1
+            snv = sign * n * v
+            for lim, w in cands:
+                val = bisect_right(ys_seen, lim) * sbig - snv * w
+                if val > best:
+                    best = val
     return DiscrepancyValue(Fraction(best, big), "exact")
 
 

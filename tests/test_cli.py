@@ -275,6 +275,8 @@ def test_bad_values_exit_2_with_an_error_line(capsys):
                   "--norm-samples", "-5"]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+    assert main(["clt", "--n", "8", "--samples", "-3"]) == 2
+    assert capsys.readouterr().err.startswith("error: --samples")
 
 
 def test_verify_checks_its_bases_before_any_suite(monkeypatch, capsys):
@@ -284,7 +286,8 @@ def test_verify_checks_its_bases_before_any_suite(monkeypatch, capsys):
     monkeypatch.setitem(cli._SUITES, "membership", must_not_run)
     for argv in (["verify", "--suite", "all", "--bases", "4,9"],
                  ["verify", "--suite", "all", "--bases", "2,3,5"],
-                 ["verify", "--suite", "padic", "--bases", "2,3,5"]):
+                 ["verify", "--suite", "padic", "--bases", "2,3,5"],
+                 ["verify", "--suite", "all", "--q", "-1"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
@@ -298,6 +301,11 @@ PINNED_STDOUT = {
         "a38bbef3b1f3317dbadbbe0beddf84d31cf7888873a2898ab5650e31f3d6e1bc",
     ("discrepancy", "--n", "256", "--metric", "star"):
         "a3810757af415e55540307e91d02ba1ec48e378e98ef7be80a3437aec0169ff5",
+    ("discrepancy", "--kind", "van_der_corput", "--bases", "2", "--n", "100",
+     "--q", "7", "--metric", "star"):
+        "d7327a535a7a3e72f914bf29041d52be24e3b1ade1fe5fabf53dcd95456a4be6",
+    ("discrepancy", "--n", "128", "--q", "1000000", "--metric", "star"):
+        "f9dd86bd6c0683f02667b15cacdaac3591300cf7b9f08da608b5f0aaa18144f5",
     ("discrepancy", "--n", "256", "--metric", "local", "--x", "1/2,2/3"):
         "717a34f4b4cc352e8d3a7a1f38f4b2f3a41453d9f6ebf1fcec78dd7d31c98633",
     ("verify", "--suite", "membership", "--seed", "42"):

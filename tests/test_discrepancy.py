@@ -181,13 +181,29 @@ def test_star_matches_cell_oracle():
         for n, start in ((1, 0), (2, 0), (3, 0), (6, 0), (12, 0),
                          (32, 10 ** 9 - 32))
     ]
+    cases += [[pt.coords for pt in
+               point_set("van_der_corput", (2,), start, n).points]
+              for n in (1, 2, 5, 16, 40) for start in (0, 10 ** 9 - n)]
     cases.append([(F(0), F(0)), (F(0), F(0))])
     for _ in range(15):
         n = rng.randrange(1, 8)
         cases.append([tuple(F(rng.randrange(0, 32), 32) for _ in range(2))
                       for _ in range(n)])
+    for _ in range(15):
+        # one axis on the 1/16 grid, with a repeated point and one at 0
+        pts = [(F(rng.randrange(0, 16), 16),)
+               for _ in range(rng.randrange(1, 8))]
+        cases.append(pts + [pts[0], (F(0),)])
+    for zero_axis in (0, 1):
+        for _ in range(10):
+            # two axes with a duplicated point and points at 0 on one axis
+            pts = [[F(rng.randrange(0, 32), 32) for _ in range(2)]
+                   for _ in range(rng.randrange(2, 8))]
+            for pt in pts[::2]:
+                pt[zero_axis] = F(0)
+            cases.append([tuple(pt) for pt in pts + pts[-1:]])
     for pts in cases:
-        ps = point_set("explicit", (2, 3), points=pts)
+        ps = point_set("explicit", (2, 3)[:len(pts[0])], points=pts)
         assert star_discrepancy(ps).value == star_by_cells(pts)
 
 
