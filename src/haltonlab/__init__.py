@@ -12,11 +12,9 @@ from .radical import (
     PointSet,
     RationalPoint,
     first_primes,
-    halton_point,
     is_prime,
     load_csv,
     point_set,
-    radical_inverse,
     save_csv,
 )
 from .residue import (
@@ -82,7 +80,6 @@ __all__ = [
     "decomposition_term_fourier",
     "digit_split",
     "first_primes",
-    "halton_point",
     "in_elementary_interval",
     "is_prime",
     "l2_discrepancy_squared",
@@ -94,7 +91,6 @@ __all__ = [
     "multiplicative_order",
     "partition_label",
     "point_set",
-    "radical_inverse",
     "resonance_sums",
     "save_csv",
     "second_moment_block",

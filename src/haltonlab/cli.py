@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .radical import BasisPair, first_primes, halton_point, point_set, save_csv
+from .radical import BasisPair, first_primes, point_set, save_csv
 from .residue import in_elementary_interval
 from .discrepancy import (
     decomposition_layers,
@@ -196,18 +196,17 @@ def cmd_scaling(args) -> int:
 def _suite_membership(args, bp: BasisPair, inject: bool) -> dict:
     s = (2, 2)
     q1, q2 = bp.p1 ** 2, bp.p2 ** 2
-    period = q1 * q2
-    cells = [(Fraction(a1, q1), Fraction(a2, q2))
+    cells = [((a1, a2), (Fraction(a1, q1), Fraction(a2, q2)))
              for a1 in range(q1) for a2 in range(q2)]
+    ps = point_set("halton", bp.as_tuple(), 0, 5 * q1 * q2)
+    d1, d2 = ps.dens
     violations = 0
     checked = 0
-    for k in range(5 * period):
-        pt = halton_point(k, bp.as_tuple())
-        for y in cells:
-            member = all(
-                y[i] <= pt.coords[i] < y[i] + Fraction(1, (q1, q2)[i])
-                for i in range(2)
-            )
+    for k, (a1, a2) in enumerate(zip(*ps.cols)):
+        # floor(x_i q_i) in integers: the point's depth-(2, 2) cell
+        home = (a1 * q1 // d1, a2 * q2 // d2)
+        for cell, y in cells:
+            member = cell == home
             cong = in_elementary_interval(k, y, s, bp)
             if inject and checked == 0:
                 cong = not cong

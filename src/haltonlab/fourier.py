@@ -143,7 +143,7 @@ def decomposition_term_fourier(x: Sequence, r: TruncIndex, q_start: int,
         return 0j
     P = rd.P
     t1, t2 = _axis_cell_table(bp.p1, d1), _axis_cell_table(bp.p2, d2)
-    corner = _box_class(lead1, lead2, r, rd)
+    corner = _box_class(lead1, lead2, rd)
     window = signed_residues(P)
     total = 0j
     for lo in range(window.start, window.stop, FREQUENCY_BLOCK):
@@ -289,8 +289,7 @@ def _layer_table(br: TruncIndex, q_start: int, n_count: int,
                  bp: BasisPair) -> dict[tuple[int, int], Fraction]:
     """Exact layer value per digit prefix, indexed by per-axis digit codes."""
     rd = crt_inverses(bp, br)
-    return {(code1, code2): _cell_class_sum(code1, code2, br, rd, q_start,
-                                            n_count)
+    return {(code1, code2): _cell_class_sum(code1, code2, rd, q_start, n_count)
             for code1 in range(bp.p1 ** br[0])
             for code2 in range(bp.p2 ** br[1])}
 

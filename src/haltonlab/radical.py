@@ -68,6 +68,8 @@ class BasisPair:
         if isinstance(bases, BasisPair):
             return bases
         p1, p2 = bases
+        if int(p1) != p1 or int(p2) != p2:
+            raise ValueError(f"bases must be integers, got ({p1!r}, {p2!r})")
         return _basis_pair(int(p1), int(p2))
 
     @property
@@ -93,21 +95,6 @@ def _check_pairwise_coprime(bases: Sequence[int]) -> None:
                 raise ValueError(
                     f"bases must be pairwise coprime, got {bases[i]} and {bases[j]}"
                 )
-
-
-def radical_inverse(n: int, p: int) -> Fraction:
-    """Digit-reversal map: mirror the base-p digits of n across the radix point."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if p < 2:
-        raise ValueError(f"base must be >= 2, got {p}")
-    rev = 0
-    scale = 1
-    while n:
-        n, d = divmod(n, p)
-        rev = rev * p + d
-        scale *= p
-    return Fraction(rev, scale)
 
 
 def _leading_digits(x: Fraction, p: int, r: int) -> int:
@@ -145,13 +132,6 @@ class RationalPoint:
         return len(self.coords)
 
 
-def halton_point(n: int, bases: Sequence[int]) -> RationalPoint:
-    """Point whose i-th coordinate is the base bases[i] radical inverse of n."""
-    bs = tuple(int(p) for p in bases)
-    _check_pairwise_coprime(bs)
-    return RationalPoint(tuple(radical_inverse(n, p) for p in bs))
-
-
 @dataclass(frozen=True)
 class PointSet:
     """An ordered point set with its provenance, stored by axis.
@@ -181,7 +161,8 @@ class PointSet:
 
     @cached_property
     def points(self) -> tuple[RationalPoint, ...]:
-        """The points as exact `RationalPoint`s, built on first access."""
+        """The points as exact `RationalPoint`s, built on first access.  Only
+        the benchmark's reference checks read them; the library reads cols."""
         return tuple(
             RationalPoint(tuple(Fraction(a, d) for a, d in zip(row, self.dens)))
             for row in zip(*self.cols))
@@ -241,7 +222,7 @@ def _exact_columns(rows: Sequence[Sequence], dim: int
 
 def point_set(kind: str, bases: Sequence[int] | int, start: int = 0,
               count: int = 1,
-              points: Sequence[RationalPoint | Sequence] | None = None
+              points: Sequence[Sequence] | None = None
               ) -> PointSet:
     """Materialize a point set of the given kind.
 
@@ -249,11 +230,13 @@ def point_set(kind: str, bases: Sequence[int] | int, start: int = 0,
     kind "van_der_corput": the one-dimensional case (single base).
     kind "hammersley": start must be 0; index/count is appended as a last
     coordinate to each of the first `count` Halton points.
-    kind "explicit": wraps caller-provided points.
+    kind "explicit": wraps caller-provided rows of rationals.
     """
     if isinstance(bases, int):
         bases = (bases,)
     bs = tuple(int(p) for p in bases)
+    if bs != tuple(bases):
+        raise ValueError(f"bases must be integers, got {tuple(bases)!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if start < 0:
@@ -263,7 +246,7 @@ def point_set(kind: str, bases: Sequence[int] | int, start: int = 0,
     if kind == "explicit":
         if points is None:
             raise ValueError("explicit kind requires points")
-        rows = [p.coords if isinstance(p, RationalPoint) else p for p in points]
+        rows = list(points)
         if not rows:
             raise ValueError("explicit kind requires at least one point")
         dens, cols = _exact_columns(rows, len(rows[0]))

@@ -65,9 +65,17 @@ def _crt_cached(p1: int, p2: int, r1: int, r2: int) -> ResidueData:
                        M1=m1, M2=m2)
 
 
+def _check_corner(x: Sequence, r: TruncIndex) -> None:
+    """Reject a corner or a depth pair without exactly two entries."""
+    if len(x) != 2 or len(r) != 2:
+        raise ValueError(f"corner has {len(x)} coordinates and {len(r)} "
+                         f"depths, expected 2 of each")
+
+
 def _corner_digits(x: Sequence, bases: tuple[int, int],
                    r: TruncIndex) -> tuple[int, int]:
     """floor(x_i p_i^r_i) per axis, for a corner in [0, 1)^2."""
+    _check_corner(x, r)
     out = []
     for xi, p, ri in zip(map(Fraction, x), bases, r):
         if xi == 1:
@@ -75,18 +83,16 @@ def _corner_digits(x: Sequence, bases: tuple[int, int],
                 "coordinate 1 has no digit expansion; truncate first")
         if not 0 <= xi < 1:
             raise ValueError(f"corner coordinate out of [0, 1): {xi}")
-        if ri < 0:
-            raise ValueError(f"depth must be nonnegative, got {ri}")
         out.append(_leading_digits(xi, p, ri))
     return out[0], out[1]
 
 
-def _box_class(t1: int, t2: int, r: TruncIndex, rd: ResidueData) -> int:
+def _box_class(t1: int, t2: int, rd: ResidueData) -> int:
     """Residue mod P of the Halton indices in the box whose corner has leading
-    digits t_i = floor(x_i p_i^r_i); axis i contributes the r_i-digit
-    reversal of t_i."""
+    digits t_i = floor(x_i p_i^r_i) at the depths rd.r; axis i contributes
+    the r_i-digit reversal of t_i."""
     p1, p2 = rd.bases.p1, rd.bases.p2
-    r1, r2 = r
+    r1, r2 = rd.r
     return (p2 ** r2 * rd.M1 * _reverse_digits(t1, p1, r1)
             + p1 ** r1 * rd.M2 * _reverse_digits(t2, p2, r2)) % rd.P
 
@@ -99,6 +105,7 @@ def in_elementary_interval(k: int, y: Sequence[Fraction], s: TruncIndex,
     multiples of p_i^-s_i; anything finer is rejected rather than truncated.
     """
     bp = BasisPair.of(bases)
+    _check_corner(y, s)
     s1, s2 = s
     if s1 < 0 or s2 < 0:
         raise ValueError(f"depths must be nonnegative, got {s}")
@@ -111,10 +118,9 @@ def in_elementary_interval(k: int, y: Sequence[Fraction], s: TruncIndex,
                 f"corner {yi} is not aligned to the base-{p} grid at depth {si}"
             )
         t.append(_leading_digits(yi, p, si))
-    if s1 == 0 and s2 == 0:
-        return True
-    rd = crt_inverses(bp, (s1, s2))
-    return k % rd.P == _box_class(t[0], t[1], (s1, s2), rd)
+    # depths (0, 0) give the modulus-1 class of every k: the whole square
+    rd = _crt_cached(bp.p1, bp.p2, s1, s2)
+    return k % rd.P == _box_class(t[0], t[1], rd)
 
 
 def signed_residues(M: int) -> range:

@@ -1,10 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes results from first principles with naive
-algorithms: piecewise integration over grid cells, direct point counting,
-exhaustive window searches, and brute-force modular arithmetic.  None of it
-shares code paths with the library beyond point generation, so agreement is
-evidence rather than tautology.
+algorithms: per-point digit reversal, piecewise integration over grid cells,
+direct point counting, exhaustive window searches, and brute-force modular
+arithmetic.  None of it shares code paths with the library, so agreement is
+evidence rather than tautology.  Only the stdlib and `haltonlab` are
+imported, so the file also loads by path with just `src/` importable.
 """
 
 from __future__ import annotations
@@ -15,7 +16,35 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from haltonlab import halton_point
+from haltonlab import RationalPoint
+
+
+# ---------------------------------------------------------------------------
+# point oracles (one Fraction per coordinate)
+
+def radical_inverse(n: int, p: int) -> Fraction:
+    """Digit-reversal map: mirror the base-p digits of n across the radix point."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if p < 2:
+        raise ValueError(f"base must be >= 2, got {p}")
+    rev = 0
+    scale = 1
+    while n:
+        n, d = divmod(n, p)
+        rev = rev * p + d
+        scale *= p
+    return Fraction(rev, scale)
+
+
+def halton_point(n: int, bases: Sequence[int]) -> RationalPoint:
+    """Point whose i-th coordinate is the base bases[i] radical inverse of n."""
+    bs = tuple(int(p) for p in bases)
+    for i, p in enumerate(bs):
+        for q in bs[i + 1:]:
+            if math.gcd(p, q) != 1:
+                raise ValueError(f"bases {p} and {q} are not coprime")
+    return RationalPoint(tuple(radical_inverse(n, p) for p in bs))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from haltonlab import (
     decomposition_term,
     decomposition_term_fourier,
     digit_split,
-    halton_point,
     in_elementary_interval,
     l2_discrepancy_squared,
     linear_form_scan,
@@ -45,7 +44,7 @@ from haltonlab.cli import MOMENT_RATIO_BOUND, main as cli_main
 from haltonlab.fourier import _split_axis
 
 from conftest import record_acceptance
-from oracles import piecewise_l2_squared
+from oracles import halton_point, piecewise_l2_squared
 
 F = Fraction
 

@@ -11,7 +11,6 @@ from haltonlab import (
     count_in_class,
     decomposition_layers,
     decomposition_term,
-    halton_point,
     l2_discrepancy_squared,
     local_discrepancy,
     point_set,
@@ -23,6 +22,7 @@ from haltonlab import (
 from oracles import (
     axis_digits,
     count_below,
+    halton_point,
     layer_by_direct_count,
     pair_sum_l2_squared,
     piecewise_l2_squared,
@@ -390,3 +390,24 @@ def test_layers_sum_to_truncated_discrepancy():
                                for r2 in range(1, depth + 1)}
         assert sum(layers.values()) == truncated_discrepancy(x, q, n, (2, 3))
         assert all(abs(v) < 6 for v in layers.values())
+
+
+@pytest.mark.parametrize("bases", [(2, 3), (2, 5)])
+@pytest.mark.parametrize("q", [0, 10 ** 6])
+def test_every_layer_matches_direct_count(bases, q):
+    # Layer by layer, not only their sum: corners on digit boundaries of
+    # several depths, at 0, and 10^-6 below a grid line, where every digit
+    # past the line is p - 1.
+    p1, p2 = bases
+    eps = F(1, 10 ** 6)
+    corners = ((F(0), F(0)), (F(1, 2), F(1, p2)), (F(5, 8), F(7, p2 ** 2)),
+               (F(3, 4) - eps, F(2, p2) - eps), (F(1, 3), F(5, 7)),
+               (F(1, p1 ** 5) - eps, F(p2 ** 3 - 1, p2 ** 3)))
+    for n in (40, 100):
+        depth = n.bit_length()
+        for x in corners:
+            layers = decomposition_layers(x, q, n, bases)
+            assert list(layers) == [(r1, r2) for r1 in range(1, depth + 1)
+                                    for r2 in range(1, depth + 1)]
+            for r, value in layers.items():
+                assert value == layer_by_direct_count(x, r, q, n, bases), r

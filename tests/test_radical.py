@@ -4,22 +4,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from haltonlab import (
     EAGER_CAP,
     BasisPair,
     RationalPoint,
+    decomposition_term,
     first_primes,
-    halton_point,
     is_prime,
     load_csv,
     point_set,
-    radical_inverse,
     save_csv,
 )
 
-from oracles import axis_digits
+from oracles import axis_digits, halton_point, radical_inverse
 
 F = Fraction
 
@@ -76,6 +76,23 @@ def test_halton_point_rejects_non_coprime():
         halton_point(3, (2, 4))
     with pytest.raises(ValueError):
         point_set("halton", (6, 9), 0, 2)
+
+
+def test_non_integer_bases_are_rejected_not_truncated():
+    for bases in ((2.7, 3), (2, 3.9), (F(5, 2), 3)):
+        with pytest.raises(ValueError, match="integers"):
+            BasisPair.of(bases)
+        with pytest.raises(ValueError, match="integers"):
+            point_set("halton", bases, 0, 4)
+    with pytest.raises(ValueError, match="integers"):
+        point_set("van_der_corput", (2.5,), 0, 4)
+    with pytest.raises(ValueError, match="integers"):
+        decomposition_term((F(1, 2), F(1, 3)), (1, 1), 0, 6, (2.9, 3))
+    # integral values of other types stay accepted
+    assert BasisPair.of((np.int64(2), np.int64(3))) == BasisPair(2, 3)
+    assert BasisPair.of((F(2), 3.0)) == BasisPair(2, 3)
+    assert point_set("halton", (np.int64(2), 3), 0, 4) == \
+        point_set("halton", (2, 3), 0, 4)
 
 
 def test_point_set_van_der_corput_first_four():
@@ -145,7 +162,8 @@ def test_generated_columns_match_halton_point(kind, bases, start, tmp_path):
             expect += (F(k, GEN_N),)
         assert pt.coords == expect
     # One representation, whichever way the same points arrive.
-    explicit = point_set("explicit", bases, points=ps.points)
+    explicit = point_set("explicit", bases,
+                         points=[pt.coords for pt in ps.points])
     assert (explicit.dens, explicit.cols) == (ps.dens, ps.cols)
     path = tmp_path / "pts.csv"
     save_csv(ps, str(path))

@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 
 from haltonlab import (
+    cell_fourier_factor,
     crt_inverses,
+    decomposition_layers,
     decomposition_term,
     decomposition_term_fourier,
-    halton_point,
     in_elementary_interval,
     signed_rep,
     signed_residues,
     truncate_digits,
+    truncated_discrepancy,
 )
 
-from oracles import brute_inverse, unit_circle_sum
+from oracles import brute_inverse, halton_point, unit_circle_sum
 
 F = Fraction
 
@@ -97,6 +99,41 @@ def test_corner_residue_rejections():
     # a corner of a finer grid than the box depths
     with pytest.raises(ValueError):
         in_elementary_interval(0, (F(3, 4), F(1, 3)), (1, 1), (2, 3))
+
+
+# Every public entry that reads a 2-axis corner x, with depth pair r where
+# it takes one, over bases (2, 3).
+CORNER_ENTRIES = {
+    "decomposition_term":
+        lambda x, r: decomposition_term(x, r, 0, 6, (2, 3)),
+    "decomposition_layers":
+        lambda x, r: decomposition_layers(x, 0, 6, (2, 3)),
+    "truncated_discrepancy":
+        lambda x, r: truncated_discrepancy(x, 0, 6, (2, 3)),
+    "in_elementary_interval":
+        lambda x, r: in_elementary_interval(1, x, r, (2, 3)),
+    "decomposition_term_fourier":
+        lambda x, r: decomposition_term_fourier(x, r, 0, 6, (2, 3)),
+    "cell_fourier_factor":
+        lambda x, r: cell_fourier_factor(r, 1, x, (2, 3)),
+    "truncate_digits":
+        lambda x, r: truncate_digits(x, r, (2, 3)),
+}
+PICK_OWN_DEPTHS = ("decomposition_layers", "truncated_discrepancy")
+BAD_SHAPES = (
+    [(name, x, (1, 1)) for name in CORNER_ENTRIES
+     for x in ((F(1, 2),), (F(1, 2), F(1, 3), F(1, 5)))]
+    + [(name, (F(1, 2), F(1, 3)), (2,)) for name in CORNER_ENTRIES
+       if name not in PICK_OWN_DEPTHS])
+
+
+@pytest.mark.parametrize("name, x, r", BAD_SHAPES, ids=[
+    f"{name}-{len(x)}coords-{len(r)}depths" for name, x, r in BAD_SHAPES])
+def test_corner_entries_reject_other_than_two_coordinates_and_depths(name, x, r):
+    # zip over the axes would drop a third coordinate or depth silently,
+    # and indexing a single one would raise IndexError.
+    with pytest.raises(ValueError, match="expected 2"):
+        CORNER_ENTRIES[name](x, r)
 
 
 def _box_indices(corner, r, bases):
