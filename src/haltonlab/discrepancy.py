@@ -27,7 +27,7 @@ import numpy as np
 from .radical import (BasisPair, PointSet, _leading_digits, _reverse_digits,
                       point_set)
 from .residue import (ResidueData, TruncIndex, _check_corner, _check_window,
-                      _corner_digits, _crt_cached)
+                      _corner_digits, crt_inverses)
 
 EXACT_DEFAULT_MAX = 1 << 12
 
@@ -322,8 +322,6 @@ def _cell_class_sum(k1: int, k2: int, rd: ResidueData, q_start: int,
     g1, g2 = p1 ** (rd.r[0] - 1), p2 ** (rd.r[1] - 1)
     c1, pre1 = divmod(k1, g1)
     c2, pre2 = divmod(k2, g2)
-    if not (c1 and c2):
-        return Fraction(0)
     w1 = rd.M1 * (rd.P // (g1 * p1))
     w2 = rd.M2 * (rd.P // (g2 * p2))
     total = 0
@@ -335,22 +333,6 @@ def _cell_class_sum(k1: int, k2: int, rd: ResidueData, q_start: int,
     return total - Fraction(c1 * c2 * n_count, rd.P)
 
 
-def _layers(x: Sequence, depths1: Sequence[int], depths2: Sequence[int],
-            q_start: int, n_count: int, bases: BasisPair | Sequence[int]
-            ) -> dict[TruncIndex, Fraction]:
-    """The layers at depths1 x depths2, both ascending, from one read of the
-    corner at the deepest pair: floor(x p^r) = floor(x p^n) // p^(n-r)."""
-    p1, p2 = BasisPair.of(bases).as_tuple()
-    _check_window(q_start, n_count)
-    n1, n2 = depths1[-1], depths2[-1]
-    top1, top2 = _corner_digits(x, (p1, p2), (n1, n2))
-    ks1 = [_reverse_digits(top1 // p1 ** (n1 - r), p1, r) for r in depths1]
-    ks2 = [_reverse_digits(top2 // p2 ** (n2 - r), p2, r) for r in depths2]
-    return {(r1, r2): _cell_class_sum(k1, k2, _crt_cached(p1, p2, r1, r2),
-                                      q_start, n_count)
-            for r1, k1 in zip(depths1, ks1) for r2, k2 in zip(depths2, ks2)}
-
-
 def decomposition_term(x: Sequence, r: TruncIndex, q_start: int, n_count: int,
                        bases: BasisPair | Sequence[int]) -> Fraction:
     """One depth-(r1, r2) layer of the truncated-discrepancy decomposition.
@@ -360,15 +342,30 @@ def decomposition_term(x: Sequence, r: TruncIndex, q_start: int, n_count: int,
     n_count / P.  Exact; zero when either last digit is 0 (empty layer).
     Coordinates must lie in [0, 1).
     """
+    bp = BasisPair.of(bases)
+    _check_corner(x, r)
     r1, r2 = r
     if r1 < 1 or r2 < 1:
         raise ValueError(f"layer depths must be >= 1, got {r}")
-    return _layers(x, (r1,), (r2,), q_start, n_count, bases)[(r1, r2)]
+    _check_window(q_start, n_count)
+    p1, p2 = bp.as_tuple()
+    t1, t2 = _corner_digits(x, (p1, p2), r)
+    if t1 % p1 == 0 or t2 % p2 == 0:
+        return Fraction(0)
+    return _cell_class_sum(_reverse_digits(t1, p1, r1),
+                           _reverse_digits(t2, p2, r2), crt_inverses(bp, r),
+                           q_start, n_count)
 
 
 def decomposition_layers(x: Sequence, q_start: int, n_count: int,
                          bases: BasisPair | Sequence[int]
                          ) -> dict[TruncIndex, Fraction]:
     """All layers (r1, r2) in [1, n]^2 for n = floor(log2 N) + 1, as exact values."""
-    depths = range(1, n_count.bit_length() + 1)
-    return _layers(x, depths, depths, q_start, n_count, bases)
+    bp = BasisPair.of(bases)
+    _check_window(q_start, n_count)
+    depth = n_count.bit_length()
+    out: dict[TruncIndex, Fraction] = {}
+    for r1 in range(1, depth + 1):
+        for r2 in range(1, depth + 1):
+            out[(r1, r2)] = decomposition_term(x, (r1, r2), q_start, n_count, bp)
+    return out

@@ -28,6 +28,7 @@ from .radical import BasisPair
 from .residue import (
     TruncIndex,
     _box_class,
+    _check_corner,
     _check_window,
     _corner_digits,
     crt_inverses,
@@ -111,6 +112,7 @@ def cell_fourier_factor(r: TruncIndex, m: int, x: Sequence,
     Magnitude is at most p1*p2; it vanishes when either last digit is 0.
     """
     bp = BasisPair.of(bases)
+    _check_corner(x, r)
     rd = crt_inverses(bp, r)
     if m not in signed_residues(rd.P):
         raise ValueError(f"m must be a signed residue mod {rd.P}, got {m}")
@@ -131,6 +133,7 @@ def decomposition_term_fourier(x: Sequence, r: TruncIndex, q_start: int,
     round-off only.
     """
     bp = BasisPair.of(bases)
+    _check_corner(x, r)
     r1, r2 = r
     if r1 < 1 or r2 < 1:
         raise ValueError(f"layer depths must be >= 1, got {r}")

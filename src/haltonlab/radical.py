@@ -68,9 +68,7 @@ class BasisPair:
         if isinstance(bases, BasisPair):
             return bases
         p1, p2 = bases
-        if int(p1) != p1 or int(p2) != p2:
-            raise ValueError(f"bases must be integers, got ({p1!r}, {p2!r})")
-        return _basis_pair(int(p1), int(p2))
+        return _basis_pair(p1, p2)
 
     @property
     def primality(self) -> tuple[bool, bool]:
@@ -81,9 +79,11 @@ class BasisPair:
 
 
 @lru_cache(maxsize=256)
-def _basis_pair(p1: int, p2: int) -> BasisPair:
+def _basis_pair(p1, p2) -> BasisPair:
     """Validated pairs are immutable, so each one is built and checked once."""
-    return BasisPair(p1, p2)
+    if int(p1) != p1 or int(p2) != p2:
+        raise ValueError(f"bases must be integers, got ({p1!r}, {p2!r})")
+    return BasisPair(int(p1), int(p2))
 
 
 def _check_pairwise_coprime(bases: Sequence[int]) -> None:
@@ -232,11 +232,10 @@ def point_set(kind: str, bases: Sequence[int] | int, start: int = 0,
     coordinate to each of the first `count` Halton points.
     kind "explicit": wraps caller-provided rows of rationals.
     """
-    if isinstance(bases, int):
-        bases = (bases,)
+    bases = tuple(bases) if hasattr(bases, "__iter__") else (bases,)
     bs = tuple(int(p) for p in bases)
-    if bs != tuple(bases):
-        raise ValueError(f"bases must be integers, got {tuple(bases)!r}")
+    if bs != bases:
+        raise ValueError(f"bases must be integers, got {bases!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if start < 0:

@@ -118,8 +118,9 @@ def in_elementary_interval(k: int, y: Sequence[Fraction], s: TruncIndex,
                 f"corner {yi} is not aligned to the base-{p} grid at depth {si}"
             )
         t.append(_leading_digits(yi, p, si))
-    # depths (0, 0) give the modulus-1 class of every k: the whole square
-    rd = _crt_cached(bp.p1, bp.p2, s1, s2)
+    if s1 == 0 and s2 == 0:
+        return True
+    rd = crt_inverses(bp, (s1, s2))
     return k % rd.P == _box_class(t[0], t[1], rd)
 
 

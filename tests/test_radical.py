@@ -84,8 +84,9 @@ def test_non_integer_bases_are_rejected_not_truncated():
             BasisPair.of(bases)
         with pytest.raises(ValueError, match="integers"):
             point_set("halton", bases, 0, 4)
-    with pytest.raises(ValueError, match="integers"):
-        point_set("van_der_corput", (2.5,), 0, 4)
+    for lone in ((2.5,), 2.5):
+        with pytest.raises(ValueError, match="integers"):
+            point_set("van_der_corput", lone, 0, 4)
     with pytest.raises(ValueError, match="integers"):
         decomposition_term((F(1, 2), F(1, 3)), (1, 1), 0, 6, (2.9, 3))
     # integral values of other types stay accepted
@@ -93,6 +94,8 @@ def test_non_integer_bases_are_rejected_not_truncated():
     assert BasisPair.of((F(2), 3.0)) == BasisPair(2, 3)
     assert point_set("halton", (np.int64(2), 3), 0, 4) == \
         point_set("halton", (2, 3), 0, 4)
+    assert point_set("van_der_corput", np.int64(3), 0, 4) == \
+        point_set("van_der_corput", 3, 0, 4)
 
 
 def test_point_set_van_der_corput_first_four():

@@ -132,7 +132,7 @@ BAD_SHAPES = (
 def test_corner_entries_reject_other_than_two_coordinates_and_depths(name, x, r):
     # zip over the axes would drop a third coordinate or depth silently,
     # and indexing a single one would raise IndexError.
-    with pytest.raises(ValueError, match="expected 2"):
+    with pytest.raises(ValueError, match="coordinates and .* depths, expected 2"):
         CORNER_ENTRIES[name](x, r)
 
 
