@@ -47,8 +47,10 @@ SCHEMA_VERSION = "1"
 # Q in {0, 1, 7, 123, 10^6}: observed max lhs/rhs = 0.0064, so the committed
 # bound 1.0 holds with two orders of magnitude to spare.
 MOMENT_RATIO_BOUND = 1.0
-# clt's D2 route: the float pair sum up to this size, Monte Carlo above.
+# clt's D2 route: the float pair sum up to PAIRSUM_MAX points, above that
+# NORM_DRAWS Monte Carlo draws in blocks of 1024.
 PAIRSUM_MAX = 1 << 12
+NORM_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,14 @@ def cmd_scaling(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
-def _suite_membership(args, bp: BasisPair, inject: bool) -> dict:
+def _suite_report(name: str, cases: int, violations: int,
+                  max_deviation: float, **extra) -> dict:
+    """One suite's entry in the verify report; it passes with no violation."""
+    return {"suite": name, "cases": cases, "violations": violations,
+            "max_deviation": max_deviation, "pass": violations == 0, **extra}
+
+
+def _suite_membership(args, bp: BasisPair) -> dict:
     s = (2, 2)
     q1, q2 = bp.p1 ** 2, bp.p2 ** 2
     cells = [((a1, a2), (Fraction(a1, q1), Fraction(a2, q2)))
@@ -201,34 +210,22 @@ def _suite_membership(args, bp: BasisPair, inject: bool) -> dict:
     ps = point_set("halton", bp.as_tuple(), 0, 5 * q1 * q2)
     d1, d2 = ps.dens
     violations = 0
-    checked = 0
     for k, (a1, a2) in enumerate(zip(*ps.cols)):
         # floor(x_i q_i) in integers: the point's depth-(2, 2) cell
         home = (a1 * q1 // d1, a2 * q2 // d2)
         for cell, y in cells:
-            member = cell == home
-            cong = in_elementary_interval(k, y, s, bp)
-            if inject and checked == 0:
-                cong = not cong
-            if member != cong:
+            if (cell == home) != in_elementary_interval(k, y, s, bp):
                 violations += 1
-            checked += 1
-    return {
-        "suite": "membership",
-        "cases": checked,
-        "violations": violations,
-        "max_deviation": float(violations > 0),
-        "pass": violations == 0,
-    }
+    return _suite_report("membership", ps.count * len(cells), violations,
+                         float(violations > 0))
 
 
-def _suite_decomposition(args, bp: BasisPair, inject: bool,
-                         cases: int = 25) -> dict:
+def _suite_decomposition(args, bp: BasisPair, cases: int = 25) -> dict:
     rng = _rng(args.seed, 2)
     violations = 0
     max_err = Fraction(0)
     bound = bp.p1 * bp.p2
-    for idx in range(cases):
+    for _ in range(cases):
         q = int(rng.integers(0, 10 ** 6 + 1))
         n = int(rng.integers(1, 1025))
         den1 = int(rng.integers(2, 10 ** 6))
@@ -238,8 +235,6 @@ def _suite_decomposition(args, bp: BasisPair, inject: bool,
         layers = decomposition_layers(x, q, n, bp)
         total = sum(layers.values(), Fraction(0))
         trunc = truncated_discrepancy(x, q, n, bp)
-        if inject and idx == 0:
-            total += 1
         ps = point_set("halton", bp.as_tuple(), q, n)
         d = local_discrepancy(x, ps).value
         err = abs(trunc - d)
@@ -248,13 +243,7 @@ def _suite_decomposition(args, bp: BasisPair, inject: bool,
             violations += 1
         if any(abs(v) >= bound for v in layers.values()):
             violations += 1
-    return {
-        "suite": "decomposition",
-        "cases": cases,
-        "violations": violations,
-        "max_deviation": float(max_err),
-        "pass": violations == 0,
-    }
+    return _suite_report("decomposition", cases, violations, float(max_err))
 
 
 def _depth_pairs_within(bp: BasisPair, p_cap: int) -> list[tuple[int, int]]:
@@ -269,13 +258,13 @@ def _depth_pairs_within(bp: BasisPair, p_cap: int) -> list[tuple[int, int]]:
     return out
 
 
-def _suite_fourier(args, bp: BasisPair, inject: bool,
-                   cases_per_depth: int = 5, p_cap: int = 200) -> dict:
+def _suite_fourier(args, bp: BasisPair, cases_per_depth: int = 5,
+                   p_cap: int = 200) -> dict:
     rng = _rng(args.seed, 3)
     violations = 0
     max_rel = 0.0
-    checked = 0
-    for r in _depth_pairs_within(bp, p_cap):
+    depths = _depth_pairs_within(bp, p_cap)
+    for r in depths:
         p_br = bp.p1 ** r[0] * bp.p2 ** r[1]
         for _ in range(cases_per_depth):
             q = int(rng.integers(0, 10 ** 6 + 1))
@@ -287,22 +276,14 @@ def _suite_fourier(args, bp: BasisPair, inject: bool,
             exact = decomposition_term(x, r, q, n, bp)
             alt = decomposition_term_fourier(x, r, q, n, bp)
             dev = abs(alt - float(exact))
-            if inject and checked == 0:
-                dev += 1.0
             max_rel = max(max_rel, dev / p_br)
             if dev > 1e-8 * p_br:
                 violations += 1
-            checked += 1
-    return {
-        "suite": "fourier",
-        "cases": checked,
-        "violations": violations,
-        "max_deviation": max_rel,
-        "pass": violations == 0,
-    }
+    return _suite_report("fourier", len(depths) * cases_per_depth, violations,
+                         max_rel)
 
 
-def _suite_moments(args, bp: BasisPair, inject: bool) -> dict:
+def _suite_moments(args, bp: BasisPair) -> dict:
     violations = 0
     max_ratio = 0.0
     cases = 0
@@ -310,8 +291,6 @@ def _suite_moments(args, bp: BasisPair, inject: bool) -> dict:
     for n_count in (1, 2, 3):
         for lam in ((0, 0), (0, 1), (1, 0), (1, 1)):
             lhs, rhs = second_moment_block(lam, n_count, args.q, bp, 2, 0, 0)
-            if inject and cases == 0:
-                lhs += MOMENT_RATIO_BOUND * rhs + 1.0
             if rhs == 0.0:
                 if lhs > 1e-12:
                     violations += 1
@@ -323,18 +302,12 @@ def _suite_moments(args, bp: BasisPair, inject: bool) -> dict:
             if d_star > d_sharp * (1 + 1e-12):
                 violations += 1
             cases += 1
-    return {
-        "suite": "moments",
-        "cases": cases,
-        "violations": violations,
-        "max_deviation": max_ratio,
-        "ratio_bound": MOMENT_RATIO_BOUND,
-        "pass": violations == 0,
-    }
+    return _suite_report("moments", cases, violations, max_ratio,
+                         ratio_bound=MOMENT_RATIO_BOUND)
 
 
-def _suite_padic(args, bp: BasisPair, inject: bool, l_max: int = 10,
-                 b_max: int = 50) -> dict:
+def _suite_padic(args, bp: BasisPair, l_max: int = 10, b_max: int = 50
+                 ) -> dict:
     violations = 0
     max_ord = 0
     cases = 0
@@ -347,18 +320,10 @@ def _suite_padic(args, bp: BasisPair, inject: bool, l_max: int = 10,
                 inst = LinearFormInstance(p=p, p_other=p_other, l1=l, l2=l, b=b)
                 got = linear_form_valuation(inst)
                 expect = valuation(l, p) + lte_valuation(p, p_other, b)
-                if inject and cases > 0 and l == 1 and b == 1:
-                    got += 1
                 if got != expect:
                     violations += 1
                 cases += 1
-    return {
-        "suite": "padic",
-        "cases": cases,
-        "violations": violations,
-        "max_deviation": float(max_ord),
-        "pass": violations == 0,
-    }
+    return _suite_report("padic", cases, violations, float(max_ord))
 
 
 _SUITES = {
@@ -380,7 +345,7 @@ def cmd_verify(args) -> int:
     names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     if "padic" in names and not all(bp.primality):
         raise ValueError("padic suite needs prime bases")
-    reports = [_SUITES[name](args, bp, args.inject_fault) for name in names]
+    reports = [_SUITES[name](args, bp) for name in names]
     ok = all(rep["pass"] for rep in reports)
     _emit({
         "schema_version": SCHEMA_VERSION,
@@ -418,8 +383,8 @@ def _ks_to_normal(sample: np.ndarray) -> float:
 
 
 def cmd_clt(args) -> int:
-    if args.norm_samples < 1:
-        raise ValueError(f"--norm-samples must be >= 1, got {args.norm_samples}")
+    if args.s < 1:
+        raise ValueError(f"--s must be >= 1, got {args.s}")
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
     s = args.s
@@ -435,14 +400,13 @@ def cmd_clt(args) -> int:
         norm_draws = 0
     else:
         rng = _rng(args.seed, 1)
-        norm_draws = args.norm_samples
+        norm_draws = NORM_DRAWS
         acc = 0.0
-        for i in range(0, norm_draws, 1024):
-            b = min(1024, norm_draws - i)
-            xs = rng.random((b, dim))
+        for _ in range(NORM_DRAWS // 1024):
+            xs = rng.random((1024, dim))
             d = _counts_below(pts, xs) - n * xs.prod(axis=1)
             acc += float((d * d).sum())
-        d2sq = acc / norm_draws
+        d2sq = acc / NORM_DRAWS
         d2_mode_used = "mc"
     d2 = math.sqrt(d2sq)
 
@@ -552,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
     v.add_argument("--suite", choices=VERIFY_SUITES + ("all",), default="all")
-    v.add_argument("--inject-fault", action="store_true",
-                   help="negative control: corrupt one case and expect failure")
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("clt", help="normalized local-discrepancy sampling",
@@ -563,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, default=1 << 12)
     c.add_argument("--samples", type=int, default=10 ** 4)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--norm-samples", type=int, default=1 << 16)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_clt)
 

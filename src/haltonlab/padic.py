@@ -22,7 +22,7 @@ class ZeroFormError(ValueError):
 
 def valuation(x: int, p: int) -> int | float:
     """Exponent of p in the integer x, or math.inf when x is 0."""
-    if p < 2 or not is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not isinstance(x, int):
         raise ValueError(f"valuation takes an integer, got {x!r}")
@@ -110,9 +110,9 @@ def lte_valuation(p: int, a: int, k: int) -> int:
         raise ValueError(f"{a} is divisible by {p}")
     if p == 2:
         if k % 2 == 1:
-            return int(valuation(a - 1, 2))
-        return int(valuation(a - 1, 2) + valuation(a + 1, 2)
-                   + valuation(k, 2) - 1)
+            return int(valuation(a - 1, p))
+        return int(valuation(a - 1, p) + valuation(a + 1, p)
+                   + valuation(k, p) - 1)
     d = multiplicative_order(a, p)
     if k % d != 0:
         return 0

@@ -22,7 +22,8 @@ KINDS = ("halton", "hammersley", "van_der_corput", "explicit")
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    # An integral float such as 3.0 is not a prime: `%` on it runs in floats.
+    if not hasattr(n, "__index__") or n < 2:
         return False
     if n < 4:
         return True
@@ -87,6 +88,8 @@ def _basis_pair(p1, p2) -> BasisPair:
 
 
 def _check_pairwise_coprime(bases: Sequence[int]) -> None:
+    if not bases:
+        raise ValueError("a generated point set needs at least one base")
     for i in range(len(bases)):
         if bases[i] < 2:
             raise ValueError(f"base must be >= 2, got {bases[i]}")
@@ -298,7 +301,7 @@ def load_csv(path: str) -> PointSet:
                 for line in map(str.strip, fh) if line]
     if not rows:
         raise ValueError(f"{path}: no point rows")
-    bases = tuple(int(b) for b in meta["bases"].split(","))
+    bases = tuple(map(int, meta["bases"].split(","))) if meta["bases"] else ()
     dens, cols = _exact_columns(rows, dim)
     return PointSet(dens, cols, bases, int(meta["start"]), int(meta["count"]),
                     meta["kind"])

@@ -5,13 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from haltonlab import l2_discrepancy_squared, load_csv, point_set
 from haltonlab import cli
-from haltonlab.cli import MOMENT_RATIO_BOUND, VERIFY_SUITES, main
+from haltonlab.cli import MOMENT_RATIO_BOUND, VERIFY_SUITES, build_parser, main
 
 F = Fraction
 
@@ -65,9 +68,10 @@ def test_verbs_reject_flags_they_do_not_read(tmp_path, capsys):
                  ["padic-scan", "--l-max", "3", "--b-max", "3", "--min-ord", "2"],
                  ["scaling", "--n-grid", "16", "--mode", "exact"],
                  ["clt", "--n", "64", "--samples", "0", "--d2-mode", "mc"],
-                 # prefixes of --q-list and --inject-fault are not flags
-                 ["scaling", "--n-grid", "16", "--q", "7"],
-                 ["verify", "--inject"]):
+                 ["verify", "--inject-fault"],
+                 ["clt", "--n", "64", "--samples", "0", "--norm-samples", "512"],
+                 # a prefix of --q-list is not a flag
+                 ["scaling", "--n-grid", "16", "--q", "7"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -178,19 +182,49 @@ def test_scaling_guards(tmp_path, capsys):
     assert rep["mode"] == "exact"
 
 
-def test_verify_all_passes(capsys):
-    code, rep = _run(capsys, ["verify"])
+@pytest.mark.parametrize("bases", ["2,3", "2,5", "3,5"])
+def test_verify_all_passes(bases, capsys):
+    code, rep = _run(capsys, ["verify", "--bases", bases])
     assert code == 0
     assert rep["pass"] is True
     assert [s["suite"] for s in rep["suites"]] == list(VERIFY_SUITES)
     assert all(s["pass"] for s in rep["suites"])
 
 
+# Negative controls: for each suite, the library route it audits answers
+# wrongly once, and the suite has to catch it.
+NEGATIVE_CONTROLS = {
+    "membership": ("in_elementary_interval", lambda got: not got),
+    "decomposition": ("truncated_discrepancy", lambda got: got + 1),
+    "fourier": ("decomposition_term_fourier", lambda got: got + 1.0),
+    "moments": ("second_moment_block",
+                lambda got: (MOMENT_RATIO_BOUND * got[1] + 1.0, got[1])),
+    "padic": ("lte_valuation", lambda got: got + 1),
+}
+
+
 @pytest.mark.parametrize("suite", VERIFY_SUITES)
-def test_verify_fault_injection_trips(suite, capsys):
-    code, rep = _run(capsys, ["verify", "--suite", suite, "--inject-fault"])
+def test_verify_negative_control_trips(suite, monkeypatch, capsys):
+    name, corrupt = NEGATIVE_CONTROLS[suite]
+    real = getattr(cli, name)
+    served = []
+
+    def wrong_once(*args):
+        got = real(*args)
+        if served:
+            return got
+        served.append(got)
+        return corrupt(got)
+
+    monkeypatch.setattr(cli, name, wrong_once)
+    code, rep = _run(capsys, ["verify", "--suite", suite])
+    assert served
     assert code == 1
     assert rep["pass"] is False
+    [report] = rep["suites"]
+    assert report["suite"] == suite
+    assert report["pass"] is False
+    assert report["violations"] >= 1
 
 
 def test_verify_deterministic_output(tmp_path, capsys):
@@ -235,10 +269,10 @@ def test_clt_no_samples(tmp_path, capsys):
 def test_clt_mc_mode(capsys):
     # Above PAIRSUM_MAX points D2 comes from Monte Carlo draws.
     code, rep = _run(capsys, ["clt", "--s", "2", "--n", "4097",
-                              "--samples", "50", "--norm-samples", "512"])
+                              "--samples", "50"])
     assert code == 0
     assert rep["d2_mode"] == "mc"
-    assert rep["norm_draws"] == 512
+    assert rep["norm_draws"] == 65536
     assert rep["d2"] > 0
 
 
@@ -269,14 +303,13 @@ def test_bad_values_exit_2_with_an_error_line(capsys):
     for argv in (["discrepancy", "--n", "4", "--metric", "local"],
                  ["scaling", "--n-grid", "1,16"],
                  ["verify", "--suite", "padic", "--bases", "4,9"],
-                 ["clt", "--n", "4097", "--samples", "0",
-                  "--norm-samples", "0"],
-                 ["clt", "--n", "4097", "--samples", "0",
-                  "--norm-samples", "-5"]):
+                 ["clt", "--s", "0", "--samples", "0"]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
     assert main(["clt", "--n", "8", "--samples", "-3"]) == 2
     assert capsys.readouterr().err.startswith("error: --samples")
+    assert main(["clt", "--s", "0", "--samples", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: --s must be >= 1")
 
 
 def test_verify_checks_its_bases_before_any_suite(monkeypatch, capsys):
@@ -337,3 +370,28 @@ def test_bad_argument_values_exit_via_argparse(capsys):
         main(["discrepancy", "--n", "1", "--metric", "local", "--x", "junk"])
     with pytest.raises(SystemExit):
         main(["scaling", "--n-grid", "16,banana"])
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    found = re.search(rf"^## {heading}\n.*?^```{lang}\n(.*?)^```", README,
+                      re.M | re.S)
+    assert found, heading
+    return found.group(1)
+
+
+def test_readme_commands_parse():
+    lines = [ln for ln in _readme_block("Command line", "sh").splitlines()
+             if ln.startswith("haltonlab ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_library_example_runs():
+    exec(compile(_readme_block("Library example", "python"), "README.md",
+                 "exec"), {})

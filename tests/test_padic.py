@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from haltonlab import (
@@ -172,3 +173,28 @@ def test_scan_rejections():
         linear_form_scan(4, 3, 5, 5)
     with pytest.raises(ValueError):
         linear_form_scan(2, 3, 0, 5)
+
+
+def test_float_primes_are_refused():
+    # 3.0 == 3, but `x % 3.0` runs in floats and loses every digit of a big x.
+    assert valuation(2 * 3 ** 40, 3) == 40
+    for p in (2.0, 3.0):
+        with pytest.raises(ValueError, match="prime"):
+            valuation(2 * 3 ** 40, p)
+        with pytest.raises(ValueError, match="prime"):
+            lte_valuation(p, 5, 4)
+        with pytest.raises(ValueError, match="prime"):
+            multiplicative_order(7, p)
+        with pytest.raises(ValueError, match="prime"):
+            LinearFormInstance(p=p, p_other=5, l1=1, l2=1, b=1)
+        with pytest.raises(ValueError, match="prime"):
+            LinearFormInstance(p=5, p_other=p, l1=1, l2=1, b=1)
+        with pytest.raises(ValueError, match="prime"):
+            linear_form_scan(p, 5, 5, 40)
+        with pytest.raises(ValueError, match="prime"):
+            linear_form_scan(5, p, 5, 40)
+
+
+def test_numpy_integer_primes_are_accepted():
+    assert valuation(2 * 3 ** 10, np.int64(3)) == 10
+    assert lte_valuation(np.int64(3), 2, 6) == lte_valuation(3, 2, 6)

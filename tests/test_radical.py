@@ -238,6 +238,21 @@ def test_csv_round_trip(tmp_path):
     assert header[2] == "0/1,0/1" or header[2].count("/") == 2
 
 
+def test_csv_round_trip_without_bases(tmp_path):
+    # An explicit set may carry no bases; its metadata line reads "bases=".
+    ps = point_set("explicit", (), points=[(F(1, 2),)])
+    path = tmp_path / "nobases.csv"
+    save_csv(ps, str(path))
+    assert " bases= " in path.read_text().splitlines()[0]
+    assert load_csv(str(path)) == ps
+
+
+def test_generated_kinds_need_a_base():
+    for kind in ("halton", "hammersley", "van_der_corput"):
+        with pytest.raises(ValueError, match="at least one base"):
+            point_set(kind, (), 0, 4)
+
+
 def test_load_csv_rejects_a_file_without_points(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# kind=explicit bases=2,3 start=0 count=0\nx1,x2\n")
@@ -284,3 +299,9 @@ def test_is_prime_small_table():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     for n in range(31):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_refuses_non_integers():
+    for n in (2.0, 3.0, 7.0, F(3), np.float64(5.0)):
+        assert not is_prime(n)
+    assert is_prime(np.int64(7)) and not is_prime(np.int64(9))
