@@ -36,9 +36,7 @@ from .discrepancy import (
     truncated_discrepancy,
 )
 from .fourier import (
-    DigitSplit,
     cell_fourier_factor,
-    combined_frequency,
     decomposition_term_fourier,
     digit_split,
     partition_label,
@@ -63,7 +61,6 @@ __all__ = [
     "EAGER_CAP",
     "KINDS",
     "BasisPair",
-    "DigitSplit",
     "DiscrepancyValue",
     "LinearFormInstance",
     "PointSet",
@@ -72,7 +69,6 @@ __all__ = [
     "ScanReport",
     "ZeroFormError",
     "cell_fourier_factor",
-    "combined_frequency",
     "count_in_class",
     "crt_inverses",
     "decomposition_layers",

@@ -16,7 +16,6 @@ products stay inside int64 for P < 2^31; larger moduli raise ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -162,23 +161,6 @@ def decomposition_term_fourier(x: Sequence, r: TruncIndex, q_start: int,
 # ---------------------------------------------------------------------------
 # digit split of a frequency pair into signed windows
 
-@dataclass(frozen=True)
-class DigitSplit:
-    """Unique signed-window decomposition of the folded frequencies.
-
-    hat_m[i] is the folded frequency of axis i in [0, p_i^t_i) where t_i is
-    the larger of the two depths on that axis.  mm[i][j] is the coefficient
-    attached to pair member j (0-based); windows[i][j] is the modulus of its
-    signed window.  order[i] = (k1, k2) gives the members holding the smaller
-    and larger depth (ties resolved to (0, 1)).
-    """
-
-    hat_m: tuple[int, int]
-    mm: tuple[tuple[int, int], tuple[int, int]]
-    windows: tuple[tuple[int, int], tuple[int, int]]
-    order: tuple[tuple[int, int], tuple[int, int]]
-
-
 def _split_axis(mhat, p: int, rplus: int, rminus: int):
     """Split mhat mod p^rplus as low*p^(rplus-rminus) + high.
 
@@ -197,7 +179,8 @@ def _split_axis(mhat, p: int, rplus: int, rminus: int):
 def _fold_plan(p1: int, p2: int, r_pair: DepthPair):
     """Moduli P_j and per-axis fold constants of a depth pair.
 
-    Axis i gets (p, rplus, rminus, k1, k2, weights) with
+    Axis i gets (p, rplus, rminus, swap, weights).  swap is true when member
+    1 of the pair has the smaller depth on that axis, and
     weights[j] = M_j * p^(rplus - r_j): the fold of (m1, m2) on that axis is
     m1*weights[0] + m2*weights[1].
     """
@@ -206,10 +189,9 @@ def _fold_plan(p1: int, p2: int, r_pair: DepthPair):
     for i, p in enumerate((p1, p2)):
         t = (r_pair[0][i], r_pair[1][i])
         rplus, rminus = max(t), min(t)
-        k2 = 0 if t[0] > t[1] else 1
         inv = ((rds[0].M1, rds[1].M1) if i == 0 else (rds[0].M2, rds[1].M2))
         weights = (inv[0] * p ** (rplus - t[0]), inv[1] * p ** (rplus - t[1]))
-        axes.append((p, rplus, rminus, 1 - k2, k2, weights))
+        axes.append((p, rplus, rminus, t[0] > t[1], weights))
     return (rds[0].P, rds[1].P), tuple(axes)
 
 
@@ -218,48 +200,38 @@ def _plan_of(bases: BasisPair | Sequence[int], r_pair: DepthPair):
     return _fold_plan(bp.p1, bp.p2, (tuple(r_pair[0]), tuple(r_pair[1])))
 
 
-def digit_split(m1: int, m2: int, r_pair: DepthPair,
-                bases: BasisPair | Sequence[int]) -> DigitSplit:
-    """Fold (m1, m2) per axis and split each fold into its signed windows."""
+def _fold(axis, m1, m2):
+    """The folded frequency (-(m1*w0 + m2*w1)) mod p^rplus on one plan axis."""
+    p, rplus, _, _, weights = axis
+    return (-(m1 * weights[0] + m2 * weights[1])) % p ** rplus
+
+
+def digit_split(m1, m2, r_pair: DepthPair, bases: BasisPair | Sequence[int]):
+    """Fold (m1, m2) per axis and split each fold into its signed windows.
+
+    m1 and m2 are nonzero signed residues mod the two layer moduli P_1, P_2:
+    ints, or broadcastable int64 arrays mapped elementwise, whose products
+    stay inside int64 for P_j < 2^31.  Returns (hat_m, mm).  hat_m[i] is the
+    folded frequency of axis i in [0, p_i^t_i), where t_i is the larger of
+    the two depths on that axis.  mm[i][j] is the coefficient of pair member
+    j (0-based).  The member of smaller depth on the axis (member 0 on a tie)
+    takes the signed window mod p_i^(smaller depth), the other the window
+    mod p_i^(t_i - smaller depth).
+    """
     moduli, axes = _plan_of(bases, r_pair)
     for m, P in zip((m1, m2), moduli):
-        if m == 0 or m not in signed_residues(P):
+        if np.any((m == 0) | (signed_rep(m, P) != m)):
             raise ValueError(
                 f"frequency {m} outside the nonzero signed window mod {P}"
             )
-    hat_list, mm_list, win_list, order_list = [], [], [], []
-    for p, rplus, rminus, k1, k2, weights in axes:
-        q = p ** rplus
-        mhat = (-(m1 * weights[0] + m2 * weights[1])) % q
+    hat_m, mm = [], []
+    for axis in axes:
+        p, rplus, rminus, swap, _ = axis
+        mhat = _fold(axis, m1, m2)
         low, high = _split_axis(mhat, p, rplus, rminus)
-        mm = [0, 0]
-        win = [0, 0]
-        mm[k1], mm[k2] = low, high
-        win[k1], win[k2] = p ** rminus, p ** (rplus - rminus)
-        hat_list.append(mhat)
-        mm_list.append(tuple(mm))
-        win_list.append(tuple(win))
-        order_list.append((k1, k2))
-    return DigitSplit(
-        hat_m=tuple(hat_list),
-        mm=tuple(mm_list),
-        windows=tuple(win_list),
-        order=tuple(order_list),
-    )
-
-
-def combined_frequency(m1: int, m2: int, mm_pair: tuple[int, int],
-                       r_pair: DepthPair, bases: BasisPair | Sequence[int],
-                       axis: int) -> int:
-    """Fold mm and (m1, m2) on one axis: sum of (mm_j + m_j*M_j)*p^(t - r_j).
-
-    When mm comes from digit_split of (m1, m2), the result is divisible by
-    p^t where t is the axis's larger depth.
-    """
-    p, rplus, _, _, _, weights = _plan_of(bases, r_pair)[1][axis]
-    t = (r_pair[0][axis], r_pair[1][axis])
-    return (mm_pair[0] * p ** (rplus - t[0]) + m1 * weights[0]
-            + mm_pair[1] * p ** (rplus - t[1]) + m2 * weights[1])
+        hat_m.append(mhat)
+        mm.append((high, low) if swap else (low, high))
+    return tuple(hat_m), tuple(mm)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +250,8 @@ def partition_label(br_1: TruncIndex, br_2: TruncIndex, v_threshold: int,
 
 def _partition_pairs(lam: tuple[int, int], n: int, v_threshold: int,
                      vv_threshold: int) -> list[DepthPair]:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n > TINY_SCALE_CAP:
         raise ValueError(f"n = {n} exceeds the tiny-scale cap {TINY_SCALE_CAP}")
     depths = list(product(range(1, n + 1), repeat=2))
@@ -364,11 +338,7 @@ def _fold_grid_sums(axes, pplus: int, w0: np.ndarray, w1: np.ndarray,
     fold_i is the folded-frequency class of (c1, c2) on axis i, built once.
     """
     c = np.arange(pplus, dtype=np.int64)
-    folds = []
-    for p, rplus, _, _, _, weights in axes:
-        q = p ** rplus
-        folds.append((((-(weights[0] * c)) % q)[:, None]
-                      + ((-(weights[1] * c)) % q)[None, :]) % q)
+    folds = [_fold(axis, c[:, None], c[None, :]) for axis in axes]
     outer = w0[:, None] * w1[None, :]
     return [float((outer * s0[folds[0]] * s1[folds[1]]).sum())
             for s0, s1 in axis_weights]
@@ -400,11 +370,11 @@ def resonance_sums(lam: tuple[int, int], bases: BasisPair | Sequence[int],
     +-m_cap box.  Windowed <= unconstrained always.  Returns the pair.
     """
     bp = BasisPair.of(bases)
+    pairs = _partition_pairs(tuple(lam), n, v_threshold, vv_threshold)
     if m_cap is None:
         m_cap = min(n ** 10, 10 ** 4)
-    if m_cap < 1:
-        raise ValueError(f"m_cap must be >= 1, got {m_cap}")
-    pairs = _partition_pairs(tuple(lam), n, v_threshold, vv_threshold)
+    if not hasattr(m_cap, "__index__") or m_cap < 1:
+        raise ValueError(f"m_cap must be an integer >= 1, got {m_cap}")
     if not pairs:
         return (0.0, 0.0)
     star_total = sharp_total = 0.0

@@ -24,8 +24,10 @@ def valuation(x: int, p: int) -> int | float:
     """Exponent of p in the integer x, or math.inf when x is 0."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if not isinstance(x, int):
+    if not hasattr(x, "__index__"):
         raise ValueError(f"valuation takes an integer, got {x!r}")
+    # numpy integers become ints, so x % p cannot overflow or wrap.
+    x, p = x.__index__(), p.__index__()
     if x == 0:
         return math.inf
     v = 0
@@ -69,16 +71,12 @@ class LinearFormInstance:
 
 def linear_form_valuation(inst: LinearFormInstance) -> int:
     """Exact ord_p of l1 * p_other**b - l2; raises ZeroFormError on 0."""
-    xi = inst.l1 * inst.p_other ** inst.b - inst.l2
+    xi = inst.l1 * inst.p_other.__index__() ** inst.b - inst.l2
     if xi == 0:
         raise ZeroFormError(
             f"{inst.l1} * {inst.p_other}^{inst.b} - {inst.l2} is zero"
         )
-    v = 0
-    while xi % inst.p == 0:
-        xi //= inst.p
-        v += 1
-    return v
+    return valuation(xi, inst.p)
 
 
 def multiplicative_order(a: int, p: int) -> int:
@@ -102,12 +100,20 @@ def lte_valuation(p: int, a: int, k: int) -> int:
     An independent route to the same quantity as the direct factorization:
     for odd p with d the order of a mod p, the answer is 0 unless d divides
     k, and then ord_p(a**d - 1) + ord_p(k/d); the p = 2 case splits on the
-    parity of k.
+    parity of k.  Raises ZeroFormError when a**k - 1 is zero.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if not hasattr(a, "__index__"):
+        raise ValueError(f"a must be an integer, got {a!r}")
+    # numpy integers become ints, so a ** d cannot wrap.
+    p, a = p.__index__(), a.__index__()
     if a % p == 0:
         raise ValueError(f"{a} is divisible by {p}")
+    if a == 1 or (a == -1 and k % 2 == 0):
+        raise ZeroFormError(f"({a})^{k} - 1 is zero")
     if p == 2:
         if k % 2 == 1:
             return int(valuation(a - 1, p))
@@ -159,6 +165,8 @@ def linear_form_scan(p: int, p_other: int, l_max: int, b_max: int,
         raise ValueError("the two primes must be distinct")
     if l_max < 1 or b_max < 1:
         raise ValueError("l_max and b_max must be >= 1")
+    # numpy integers become ints, so p_other ** b cannot wrap.
+    p, p_other = p.__index__(), p_other.__index__()
 
     vals = {l: valuation(l, p) for l in range(1, l_max + 1)}
     coeff1 = sorted(

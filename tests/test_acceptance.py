@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from haltonlab import (
-    combined_frequency,
     decomposition_layers,
     decomposition_term,
     decomposition_term_fourier,
@@ -44,7 +43,7 @@ from haltonlab.cli import MOMENT_RATIO_BOUND, main as cli_main
 from haltonlab.fourier import _split_axis
 
 from conftest import record_acceptance
-from oracles import halton_point, piecewise_l2_squared
+from oracles import _pair_axis_geometry, halton_point, piecewise_l2_squared
 
 F = Fraction
 
@@ -189,20 +188,36 @@ def _joint_depth_combos():
     return exhaustive, sampled
 
 
-def _check_one_split(m1, m2, r_pair, windows):
-    ds = digit_split(m1, m2, r_pair, (2, 3))
-    for axis, p in ((0, 2), (1, 3)):
-        t = (r_pair[0][axis], r_pair[1][axis])
-        rplus, rminus = max(t), min(t)
-        q = p ** rplus
+def _in_window(v, M):
+    """Elementwise: v lies in the signed window [-floor((M-1)/2), floor(M/2)]."""
+    return (v >= -((M - 1) // 2)) & (v <= M // 2)
+
+
+def _check_splits(m1, m2, r_pair):
+    """Split the int64 arrays m1, m2 at once and check every pair.
+
+    The fold multipliers come from brute-force inverses in the oracles, so
+    divisibility is checked independently of the library's CRT code.
+    """
+    hat_m, mm = digit_split(m1, m2, r_pair, (2, 3))
+    for axis in range(2):
+        p = (2, 3)[axis]
+        q, rplus, rminus, mults = _pair_axis_geometry(
+            (2, 3), r_pair[0], r_pair[1], axis)
         sgap = p ** (rplus - rminus)
-        k1, k2 = ds.order[axis]
-        lo, hi = ds.mm[axis][k1], ds.mm[axis][k2]
-        assert lo in windows[(p, rminus)]
-        assert hi in windows[(p, rplus - rminus)]
-        assert (lo * sgap + hi - ds.hat_m[axis]) % q == 0
-        assert combined_frequency(
-            m1, m2, ds.mm[axis], r_pair, (2, 3), axis) % q == 0
+        k2 = 0 if r_pair[0][axis] > r_pair[1][axis] else 1
+        lo, hi = mm[axis][1 - k2], mm[axis][k2]
+        assert np.all(_in_window(lo, p ** rminus))
+        assert np.all(_in_window(hi, sgap))
+        assert np.all((lo * sgap + hi - hat_m[axis]) % q == 0)
+        assert np.all((lo * sgap + hi + m1 * mults[0] + m2 * mults[1]) % q
+                      == 0)
+
+
+def _nonzero_window(M):
+    w = signed_residues(M)
+    m = np.arange(w.start, w.stop, dtype=np.int64)
+    return m[m != 0]
 
 
 def test_criterion_5_digit_split_sweeps():
@@ -216,38 +231,32 @@ def test_criterion_5_digit_split_sweeps():
                 rplus, rminus = max(ta, tb), min(ta, tb)
                 q = p ** rplus
                 sgap = p ** (rplus - rminus)
-                w_low = signed_residues(p ** rminus)
-                w_high = signed_residues(sgap)
-                seen = set()
-                for mhat in range(q):
-                    lo, hi = _split_axis(mhat, p, rplus, rminus)
-                    assert lo in w_low and hi in w_high
-                    assert (lo * sgap + hi - mhat) % q == 0
-                    seen.add((lo, hi))
-                    splits += 1
-                assert len(seen) == q  # distinct pairs: the split is a bijection
+                mhat = np.arange(q, dtype=np.int64)
+                lo, hi = _split_axis(mhat, p, rplus, rminus)
+                assert np.all(_in_window(lo, p ** rminus))
+                assert np.all(_in_window(hi, sgap))
+                assert np.all((lo * sgap + hi - mhat) % q == 0)
+                # distinct pairs: the split is a bijection
+                assert len(set(zip(lo.tolist(), hi.tolist()))) == q
+                splits += q
 
     exhaustive, sampled = _joint_depth_combos()
-    windows = {(p, r): signed_residues(p ** r)
-               for p in (2, 3) for r in range(0, 10)}
 
     # Tier 2: full (m1, m2) coverage wherever the joint windows are small.
     joint = 0
     for r_pair in exhaustive:
         p_1 = 2 ** r_pair[0][0] * 3 ** r_pair[0][1]
         p_2 = 2 ** r_pair[1][0] * 3 ** r_pair[1][1]
-        for m1 in signed_residues(p_1):
-            for m2 in signed_residues(p_2):
-                if m1 == 0 or m2 == 0:
-                    continue
-                _check_one_split(m1, m2, r_pair, windows)
-                joint += 1
+        m1, m2 = _nonzero_window(p_1), _nonzero_window(p_2)
+        _check_splits(m1[:, None], m2[None, :], r_pair)
+        joint += m1.size * m2.size
 
     # Tier 3: seeded samples through every remaining depth combination.
     rng = random.Random(5)
     for r_pair in sampled:
         p_1 = 2 ** r_pair[0][0] * 3 ** r_pair[0][1]
         p_2 = 2 ** r_pair[1][0] * 3 ** r_pair[1][1]
+        m1s, m2s = [], []
         for _ in range(6):
             m1 = 0
             while m1 == 0:
@@ -259,7 +268,10 @@ def test_criterion_5_digit_split_sweeps():
                 m2 = signed_residues(p_2).start + rng.randrange(p_2)
                 if m2 not in signed_residues(p_2):
                     m2 = 0
-            _check_one_split(m1, m2, r_pair, windows)
+            m1s.append(m1)
+            m2s.append(m2)
+        _check_splits(np.array(m1s, dtype=np.int64),
+                      np.array(m2s, dtype=np.int64), r_pair)
 
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0

@@ -6,13 +6,14 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from haltonlab import (
     BasisPair,
     cell_fourier_factor,
-    combined_frequency,
     count_in_class,
     crt_inverses,
     decomposition_term,
@@ -221,33 +222,42 @@ def test_fourier_layer_rejects_moduli_beyond_int64_products(monkeypatch):
 # ---------------------------------------------------------------------------
 # digit split of frequency pairs
 
-def _check_split_against_oracle(m1, m2, r_pair, bases):
-    ds = digit_split(m1, m2, r_pair, bases)
+def _check_split_against_oracle(m1s, m2s, r_pair, bases):
+    """Split whole arrays at once; match each pair against the scalar split
+    and the exhaustive window search."""
+    m1a = np.array(m1s, dtype=np.int64)
+    m2a = np.array(m2s, dtype=np.int64)
+    hat_m, mm = digit_split(m1a, m2a, r_pair, bases)
     for axis in range(2):
         p = bases[axis]
         q, rplus, rminus, mults = _pair_axis_geometry(
             bases, r_pair[0], r_pair[1], axis)
-        mhat = fold_axis(m1, m2, q, [(m * 1) % q for m in mults])
-        assert ds.hat_m[axis] == mhat
-        lo, hi = window_split_search(mhat, p, rplus, rminus)
-        k1, k2 = ds.order[axis]
-        assert ds.mm[axis][k1] == lo
-        assert ds.mm[axis][k2] == hi
-        assert ds.windows[axis][k1] == p ** rminus
-        assert ds.windows[axis][k2] == p ** (rplus - rminus)
-        # Reconstruction: the split recombines to the fold.
+        k2 = 0 if r_pair[0][axis] > r_pair[1][axis] else 1
         sgap = p ** (rplus - rminus)
-        assert (lo * sgap + hi - mhat) % (p ** rplus) == 0
+        for i, (m1, m2) in enumerate(zip(m1s, m2s)):
+            mhat = fold_axis(m1, m2, q, mults)
+            lo, hi = window_split_search(mhat, p, rplus, rminus)
+            assert hat_m[axis][i] == mhat
+            assert (mm[axis][1 - k2][i], mm[axis][k2][i]) == (lo, hi)
+            scalar_hat, scalar_mm = digit_split(m1, m2, r_pair, bases)
+            assert scalar_hat[axis] == mhat
+            assert scalar_mm[axis] == (mm[axis][0][i], mm[axis][1][i])
+            # Reconstruction: the split recombines to the fold.
+            assert (lo * sgap + hi - mhat) % q == 0
+
+
+def _window_pairs(r_pair):
+    """Every nonzero frequency pair of the two layer moduli, as two lists."""
+    P1 = 2 ** r_pair[0][0] * 3 ** r_pair[0][1]
+    P2 = 2 ** r_pair[1][0] * 3 ** r_pair[1][1]
+    pairs = list(product(_nonzero(P1), _nonzero(P2)))
+    return [m1 for m1, _ in pairs], [m2 for _, m2 in pairs]
 
 
 def test_digit_split_exhaustive_small_moduli():
     for r_pair in ((((1, 1)), ((1, 1))), (((1, 1)), ((2, 1))),
                    (((2, 1)), ((1, 2))), (((2, 2)), ((1, 1)))):
-        P1 = 2 ** r_pair[0][0] * 3 ** r_pair[0][1]
-        P2 = 2 ** r_pair[1][0] * 3 ** r_pair[1][1]
-        for m1 in _nonzero(P1):
-            for m2 in _nonzero(P2):
-                _check_split_against_oracle(m1, m2, r_pair, (2, 3))
+        _check_split_against_oracle(*_window_pairs(r_pair), r_pair, (2, 3))
 
 
 def test_digit_split_seeded_larger_moduli():
@@ -259,36 +269,41 @@ def test_digit_split_seeded_larger_moduli():
         P2 = 2 ** r_pair[1][0] * 3 ** r_pair[1][1]
         w1 = _nonzero(P1)
         w2 = _nonzero(P2)
-        for _ in range(40):
-            _check_split_against_oracle(
-                rng.choice(w1), rng.choice(w2), r_pair, (2, 3))
+        picks = [(rng.choice(w1), rng.choice(w2)) for _ in range(40)]
+        _check_split_against_oracle([m1 for m1, _ in picks],
+                                    [m2 for _, m2 in picks], r_pair, (2, 3))
 
 
 def test_digit_split_equal_pair_fold():
-    # Same depths, same frequency: the fold is -2 m M_i per axis.
+    # Same depths, same frequency: the fold is -2 m M_i per axis, and on a
+    # tie member 0 takes the whole split (member 1's window is mod 1).
     r = (2, 1)
     rd = crt_inverses((2, 3), r)
-    for m in (1, 2, 5, -4):
-        ds = digit_split(m, m, (r, r), (2, 3))
-        assert ds.hat_m[0] == (-2 * m * rd.M1) % 4
-        assert ds.hat_m[1] == (-2 * m * rd.M2) % 3
-        assert ds.order == (((0, 1)), ((0, 1)))
+    m = np.array([1, 2, 5, -4], dtype=np.int64)
+    hat_m, mm = digit_split(m, m, (r, r), (2, 3))
+    assert np.array_equal(hat_m[0], (-2 * m * rd.M1) % 4)
+    assert np.array_equal(hat_m[1], (-2 * m * rd.M2) % 3)
+    assert not np.any(mm[0][1]) and not np.any(mm[1][1])
 
 
 def test_digit_split_zero_fold_gives_zero_coefficients():
-    ds = digit_split(3, 3, ((1, 1), (1, 1)), (2, 3))
-    assert ds.hat_m == (0, 0)
-    assert ds.mm == (((0, 0)), ((0, 0)))
+    assert digit_split(3, 3, ((1, 1), (1, 1)), (2, 3)) == ((0, 0),
+                                                           ((0, 0), (0, 0)))
 
 
 def test_digit_split_window_rejection():
-    with pytest.raises(ValueError):
-        digit_split(0, 1, ((1, 1), (1, 1)), (2, 3))
-    with pytest.raises(ValueError):
-        digit_split(4, 1, ((1, 1), (1, 1)), (2, 3))
+    r_pair = ((1, 1), (1, 1))
+    for m1 in (0, 4, np.array([1, 0]), np.array([[1], [-3]])):
+        with pytest.raises(ValueError, match="signed window mod 6"):
+            digit_split(m1, 1, r_pair, (2, 3))
+        with pytest.raises(ValueError, match="signed window mod 6"):
+            digit_split(1, m1, r_pair, (2, 3))
 
 
-def test_combined_frequency_divisibility():
+def test_digit_split_fold_divisibility():
+    # The combined frequency sum_j (mm_j * p^(t - r_j) + m_j * M_j * p^(t - r_j))
+    # on an axis of larger depth t is divisible by p^t.  The multipliers come
+    # from brute-force inverses, not from the library's CRT code.
     rng = random.Random(1618)
     depth_pairs = [((1, 1), (1, 1)), ((2, 1), (1, 2)), ((3, 2), (2, 2)),
                    ((1, 3), (4, 1))]
@@ -297,24 +312,17 @@ def test_combined_frequency_divisibility():
         P2 = 2 ** r_pair[1][0] * 3 ** r_pair[1][1]
         w1 = _nonzero(P1)
         w2 = _nonzero(P2)
-        for _ in range(25):
-            m1, m2 = rng.choice(w1), rng.choice(w2)
-            ds = digit_split(m1, m2, r_pair, (2, 3))
-            for axis, p in ((0, 2), (1, 3)):
-                rplus = max(r_pair[0][axis], r_pair[1][axis])
-                total = combined_frequency(
-                    m1, m2, ds.mm[axis], r_pair, (2, 3), axis)
-                assert total % p ** rplus == 0
-
-
-def test_combined_frequency_trivial_and_perturbed():
-    r_pair = ((1, 1), (1, 1))
-    assert combined_frequency(0, 0, (0, 0), r_pair, (2, 3), 0) == 0
-    assert combined_frequency(0, 0, (0, 0), r_pair, (2, 3), 1) == 0
-    # Wrong coefficients break divisibility in this case.
-    ds = digit_split(1, 1, r_pair, (2, 3))
-    bad = (ds.mm[0][0] + 1, ds.mm[0][1])
-    assert combined_frequency(1, 1, bad, r_pair, (2, 3), 0) % 2 != 0
+        picks = [(rng.choice(w1), rng.choice(w2)) for _ in range(25)]
+        m1 = np.array([m for m, _ in picks])
+        m2 = np.array([m for _, m in picks])
+        _, mm = digit_split(m1, m2, r_pair, (2, 3))
+        for axis, p in ((0, 2), (1, 3)):
+            q, rplus, _, mults = _pair_axis_geometry(
+                (2, 3), r_pair[0], r_pair[1], axis)
+            scale = [p ** (rplus - r_pair[j][axis]) for j in range(2)]
+            total = (mm[axis][0] * scale[0] + m1 * mults[0]
+                     + mm[axis][1] * scale[1] + m2 * mults[1])
+            assert np.all(total % q == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +405,25 @@ def test_second_moment_lhs_matches_grid_average():
             assert math.isclose(lhs, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
-def test_second_moment_rhs_matches_naive_majorant():
+# The fold weights M_j * p^(t - r_j) depend on the bases, so the naive
+# comparisons run at three base pairs, each with its largest depths n.  At
+# (3, 5) the oracles' window search spends about 11 s at n = 3, so the
+# depth gap 2 that n = 3 brings is covered at (2, 3) and (2, 5) only.
+MOMENT_BASES = [((2, 3), (2, 3)), ((2, 5), (2, 3)), ((3, 5), (2,))]
+MOMENT_IDS = ["2,3", "2,5", "3,5"]
+
+
+@pytest.mark.parametrize("bases, ns", MOMENT_BASES, ids=MOMENT_IDS)
+def test_second_moment_rhs_matches_naive_majorant(bases, ns):
     for lam in ((0, 0), (1, 1)):
-        _, rhs = second_moment_block(lam, 2, 0, (2, 3), 2, 0, 0)
-        want = sum(naive_pair_majorant((2, 3), br_1, br_2)
+        _, rhs = second_moment_block(lam, 2, 0, bases, 2, 0, 0)
+        want = sum(naive_pair_majorant(bases, br_1, br_2)
                    for br_1, br_2 in _cell_pairs(lam, 2, 0, 0))
         assert math.isclose(rhs, want, rel_tol=1e-9)
     # At n = 3 the depth gap on an axis reaches 2.
-    for pair in (((3, 1), (1, 3)), ((3, 3), (1, 1))):
-        got = fourier._majorant_pair(BasisPair.of((2, 3)), pair)
-        assert math.isclose(got, naive_pair_majorant((2, 3), *pair),
+    for pair in (((3, 1), (1, 3)), ((3, 3), (1, 1))) if 3 in ns else ():
+        got = fourier._majorant_pair(BasisPair.of(bases), pair)
+        assert math.isclose(got, naive_pair_majorant(bases, *pair),
                             rel_tol=1e-9)
 
 
@@ -430,19 +447,23 @@ def test_second_moment_guards():
         second_moment_block((0, 0), 0, 0, (2, 3), 2, 0, 0)
     with pytest.raises(ValueError):
         second_moment_block((0, 0), 2, -1, (2, 3), 2, 0, 0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            second_moment_block((0, 0), 1, 0, (2, 3), n, 0, 0)
 
 
 # ---------------------------------------------------------------------------
 # resonance sums
 
-def test_resonance_matches_naive_enumeration():
+@pytest.mark.parametrize("bases, ns", MOMENT_BASES, ids=MOMENT_IDS)
+def test_resonance_matches_naive_enumeration(bases, ns):
     # At n = 3 the depth gap rplus - rminus reaches 2, so the unconstrained
     # sum's dilation by p^(rplus - rminus) also takes the value p^2.
-    for n in (2, 3):
+    for n in ns:
         for lam in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            star, sharp = resonance_sums(lam, (2, 3), n, 0, 0, m_cap=4)
+            star, sharp = resonance_sums(lam, bases, n, 0, 0, m_cap=4)
             pairs = _cell_pairs(lam, n, 0, 0)
-            want_star, want_sharp = naive_resonance((2, 3), pairs, 4)
+            want_star, want_sharp = naive_resonance(bases, pairs, 4)
             assert math.isclose(star, want_star, rel_tol=1e-9, abs_tol=1e-12)
             assert math.isclose(sharp, want_sharp, rel_tol=1e-9,
                                 abs_tol=1e-12)
@@ -456,3 +477,9 @@ def test_resonance_empty_cell_and_guards():
         resonance_sums((0, 0), (2, 3), 5, 0, 0)
     with pytest.raises(ValueError):
         resonance_sums((0, 0), (2, 3), 2, 0, 0, m_cap=0)
+    # n = 0 is refused as such, not through the m_cap it implies.
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        resonance_sums((0, 0), (2, 3), 0, 0, 0)
+    # A fractional cap would sum over the asymmetric box -2..3.
+    with pytest.raises(ValueError, match="m_cap must be an integer"):
+        resonance_sums((0, 0), (2, 3), 2, 0, 0, m_cap=2.5)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,3 +34,31 @@ def test_oracles_load_by_file_path():
     assert oracles.piecewise_l2_squared(pts) == exact
     assert oracles.halton_point(5, (2, 3)).coords == (Fraction(5, 8),
                                                       Fraction(7, 9))
+
+
+# Every module that importing the package and its CLI loads once numpy is
+# in: the package's own seven and fifteen from the standard library.  A new
+# import lengthens every CLI start-up, so it has to be added here on purpose.
+IMPORTS_AFTER_NUMPY = {
+    "haltonlab", "haltonlab.cli", "haltonlab.discrepancy",
+    "haltonlab.fourier", "haltonlab.padic", "haltonlab.radical",
+    "haltonlab.residue",
+    "__future__", "_csv", "_decimal", "_json", "argparse", "copy", "csv",
+    "dataclasses", "decimal", "fractions", "gettext", "json",
+    "json.decoder", "json.encoder", "json.scanner",
+}
+
+
+def test_imports_after_numpy_are_the_known_ones():
+    probe = ("import sys, numpy; before = set(sys.modules); "
+             "import haltonlab, haltonlab.cli; "
+             "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    src = str(Path(haltonlab.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = set(out.split())
+    assert "haltonlab.cli" in loaded
+    assert loaded - IMPORTS_AFTER_NUMPY == set()

@@ -103,6 +103,14 @@ def test_lte_valuation_guards():
         lte_valuation(3, 6, 2)
     with pytest.raises(ValueError):
         lte_valuation(3, 2, 0)
+    with pytest.raises(ValueError, match="integer"):
+        lte_valuation(3, 2.0, 4)
+    # a**k - 1 == 0 has no finite valuation; for odd k, (-1)**k - 1 = -2.
+    for p, a, k in ((3, 1, 5), (2, -1, 2), (3, -1, 2), (2, 1, 1)):
+        with pytest.raises(ZeroFormError):
+            lte_valuation(p, a, k)
+    for p in (2, 3, 5):
+        assert lte_valuation(p, -1, 3) == brute_power_valuation(p, -1, 3)
 
 
 def test_scan_monotone_under_enlargement():
@@ -198,3 +206,14 @@ def test_float_primes_are_refused():
 def test_numpy_integer_primes_are_accepted():
     assert valuation(2 * 3 ** 10, np.int64(3)) == 10
     assert lte_valuation(np.int64(3), 2, 6) == lte_valuation(3, 2, 6)
+    # Past int64 (3**40, 2**80) the numpy types overflowed, wrapped or were
+    # refused; the entries work in ints.
+    assert valuation(2 * 3 ** 40, np.int64(3)) == 40
+    assert valuation(np.int64(48), 2) == 4
+    inst = LinearFormInstance(3, np.int64(2), 1, 1, 80)
+    assert linear_form_valuation(inst) == brute_power_valuation(3, 2, 80) == 1
+    assert lte_valuation(3, np.int64(2), 80) == 1
+    assert lte_valuation(np.int64(2), np.int64(3), 80) == lte_valuation(2, 3, 80)
+    with np.errstate(all="raise"):
+        assert linear_form_scan(3, np.int64(2), 3, 80) == linear_form_scan(
+            3, 2, 3, 80)
