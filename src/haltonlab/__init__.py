@@ -36,13 +36,11 @@ from .discrepancy import (
     truncated_discrepancy,
 )
 from .fourier import (
-    cell_fourier_factor,
     decomposition_term_fourier,
     digit_split,
     partition_label,
     resonance_sums,
     second_moment_block,
-    window_fourier_coefficient,
 )
 from .padic import (
     LinearFormInstance,
@@ -68,7 +66,6 @@ __all__ = [
     "ResidueData",
     "ScanReport",
     "ZeroFormError",
-    "cell_fourier_factor",
     "count_in_class",
     "crt_inverses",
     "decomposition_layers",
@@ -96,5 +93,4 @@ __all__ = [
     "truncate_digits",
     "truncated_discrepancy",
     "valuation",
-    "window_fourier_coefficient",
 ]

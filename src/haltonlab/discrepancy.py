@@ -296,7 +296,7 @@ def truncated_discrepancy(x: Sequence, q_start: int, n_count: int,
     The depth is base-2 regardless of the bases in play.  Exact.
     """
     bp = BasisPair.of(bases)
-    _check_window(q_start, n_count)
+    q_start, n_count = _check_window(q_start, n_count)
     depth = n_count.bit_length()
     xt = truncate_digits(x, (depth, depth), bp)
     ps = point_set("halton", bp.as_tuple(), q_start, n_count)
@@ -347,7 +347,7 @@ def decomposition_term(x: Sequence, r: TruncIndex, q_start: int, n_count: int,
     r1, r2 = r
     if r1 < 1 or r2 < 1:
         raise ValueError(f"layer depths must be >= 1, got {r}")
-    _check_window(q_start, n_count)
+    q_start, n_count = _check_window(q_start, n_count)
     p1, p2 = bp.as_tuple()
     t1, t2 = _corner_digits(x, (p1, p2), r)
     if t1 % p1 == 0 or t2 % p2 == 0:
@@ -362,7 +362,7 @@ def decomposition_layers(x: Sequence, q_start: int, n_count: int,
                          ) -> dict[TruncIndex, Fraction]:
     """All layers (r1, r2) in [1, n]^2 for n = floor(log2 N) + 1, as exact values."""
     bp = BasisPair.of(bases)
-    _check_window(q_start, n_count)
+    q_start, n_count = _check_window(q_start, n_count)
     depth = n_count.bit_length()
     out: dict[TruncIndex, Fraction] = {}
     for r1 in range(1, depth + 1):

@@ -47,19 +47,13 @@ FREQUENCY_BLOCK = 1 << 12
 DepthPair = tuple[TruncIndex, TruncIndex]
 
 
-def _check_phase_modulus(P: int) -> None:
-    if P >= PHASE_MODULUS_CAP:
-        raise ValueError(f"modulus {P} is not below 2^31: residue products "
-                         f"would overflow int64")
-
-
 def _half_turns(k: np.ndarray, P: int) -> np.ndarray:
     """exp(i*pi*k/P) for integers k already reduced exactly."""
     return np.exp(1j * np.pi * (k / P))
 
 
 def _window_terms(P: int, q_start: int, n_count: int, m: np.ndarray,
-                  shift: int = 0) -> np.ndarray:
+                  shift: int) -> np.ndarray:
     """phi(m) * e(-m*shift/P) for an int64 array of nonzero signed residues m.
 
     phi(m) = e(m*q/P) * (e(m*N/P) - 1) / (P * (e(m/P) - 1)) and
@@ -71,23 +65,6 @@ def _window_terms(P: int, q_start: int, n_count: int, m: np.ndarray,
     k = (2 * (m * ((q_start - shift) % P) % P) + a - m) % (2 * P)
     return (np.sin(np.pi * (a / P)) / (P * np.sin(np.pi * (m / P)))
             * _half_turns(k, P))
-
-
-def window_fourier_coefficient(r: TruncIndex, q_start: int, n_count: int,
-                               m: int, bases: BasisPair | Sequence[int]
-                               ) -> complex:
-    """(1/P) * sum over k in [q_start, q_start + n_count) of e(m*k/P).
-
-    Evaluated by the closed-form geometric sum with exact phase reduction.
-    The magnitude never exceeds 1/max(1, |m|) for m in the signed window.
-    """
-    rd = crt_inverses(BasisPair.of(bases), r)
-    if m == 0 or m not in signed_residues(rd.P):
-        raise ValueError(f"m must be a nonzero signed residue mod {rd.P}, got {m}")
-    _check_window(q_start, n_count)
-    _check_phase_modulus(rd.P)
-    return complex(_window_terms(rd.P, q_start, n_count,
-                                 np.array([m], dtype=np.int64))[0])
 
 
 @lru_cache(maxsize=256)
@@ -102,23 +79,6 @@ def _axis_cell_table(p: int, last_digit: int) -> np.ndarray:
     table = _half_turns(2 * c * j % (2 * p), p).sum(axis=1)
     table.setflags(write=False)
     return table
-
-
-def cell_fourier_factor(r: TruncIndex, m: int, x: Sequence,
-                        bases: BasisPair | Sequence[int]) -> complex:
-    """Product over axes of the digit-cell factor at the corner's last digits.
-
-    Magnitude is at most p1*p2; it vanishes when either last digit is 0.
-    """
-    bp = BasisPair.of(bases)
-    _check_corner(x, r)
-    rd = crt_inverses(bp, r)
-    if m not in signed_residues(rd.P):
-        raise ValueError(f"m must be a signed residue mod {rd.P}, got {m}")
-    t1, t2 = _corner_digits(x, bp.as_tuple(), r)
-    f1 = _axis_cell_table(bp.p1, t1 % bp.p1)[(m * rd.M1) % bp.p1]
-    f2 = _axis_cell_table(bp.p2, t2 % bp.p2)[(m * rd.M2) % bp.p2]
-    return complex(f1 * f2)
 
 
 def decomposition_term_fourier(x: Sequence, r: TruncIndex, q_start: int,
@@ -136,9 +96,11 @@ def decomposition_term_fourier(x: Sequence, r: TruncIndex, q_start: int,
     r1, r2 = r
     if r1 < 1 or r2 < 1:
         raise ValueError(f"layer depths must be >= 1, got {r}")
-    _check_window(q_start, n_count)
+    q_start, n_count = _check_window(q_start, n_count)
     rd = crt_inverses(bp, r)
-    _check_phase_modulus(rd.P)
+    if rd.P >= PHASE_MODULUS_CAP:
+        raise ValueError(f"modulus {rd.P} is not below 2^31: residue "
+                         f"products would overflow int64")
     lead1, lead2 = _corner_digits(x, bp.as_tuple(), r)
     d1, d2 = lead1 % bp.p1, lead2 % bp.p2
     if d1 == 0 or d2 == 0:
@@ -254,6 +216,8 @@ def _partition_pairs(lam: tuple[int, int], n: int, v_threshold: int,
         raise ValueError(f"n must be >= 1, got {n}")
     if n > TINY_SCALE_CAP:
         raise ValueError(f"n = {n} exceeds the tiny-scale cap {TINY_SCALE_CAP}")
+    if lam not in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        raise ValueError(f"lam must be a pair of 0s and 1s, got {lam}")
     depths = list(product(range(1, n + 1), repeat=2))
     return [(br_1, br_2) for br_1, br_2 in product(depths, repeat=2)
             if partition_label(br_1, br_2, v_threshold, vv_threshold) == lam]
@@ -262,13 +226,15 @@ def _partition_pairs(lam: tuple[int, int], n: int, v_threshold: int,
 # ---------------------------------------------------------------------------
 # tiny-scale audits: exact block integral vs harmonic majorant
 
-def _layer_table(br: TruncIndex, q_start: int, n_count: int,
-                 bp: BasisPair) -> dict[tuple[int, int], Fraction]:
-    """Exact layer value per digit prefix, indexed by per-axis digit codes."""
+def _layer_grid(br: TruncIndex, q_start: int, n_count: int,
+                bp: BasisPair) -> np.ndarray:
+    """P times the exact layer value at each pair of per-axis digit codes, as
+    Python ints in an object array: sums of their products can pass int64."""
     rd = crt_inverses(bp, br)
-    return {(code1, code2): _cell_class_sum(code1, code2, rd, q_start, n_count)
-            for code1 in range(bp.p1 ** br[0])
-            for code2 in range(bp.p2 ** br[1])}
+    return np.array([[int(rd.P * _cell_class_sum(code1, code2, rd, q_start,
+                                                   n_count))
+                      for code2 in range(bp.p2 ** br[1])]
+                     for code1 in range(bp.p1 ** br[0])], dtype=object)
 
 
 def second_moment_block(lam: tuple[int, int], n_count: int, q_start: int,
@@ -279,33 +245,29 @@ def second_moment_block(lam: tuple[int, int], n_count: int, q_start: int,
 
     The left side integrates, over the unit square, the sum of layer products
     across all depth pairs in the lam cell; the integral is a finite average
-    over joint digit grids, evaluated exactly.  The right side is the
+    over joint digit grids, summed exactly in integers.  The right side is the
     quadruple harmonic sum: for each frequency pair, 1/(|m1|*|m2|) times the
     product of reciprocal split-coefficient magnitudes.  Returns (lhs, rhs).
     """
     bp = BasisPair.of(bases)
-    _check_window(q_start, n_count)
+    q_start, n_count = _check_window(q_start, n_count)
     pairs = _partition_pairs(tuple(lam), n, v_threshold, vv_threshold)
     if not pairs:
         return (0.0, 0.0)
     p1, p2 = bp.as_tuple()
-
-    tables = {br: _layer_table(br, q_start, n_count, bp)
-              for br in {br for pair in pairs for br in pair}}
+    grids = {br: _layer_grid(br, q_start, n_count, bp)
+             for br in {br for pair in pairs for br in pair}}
 
     lhs = Fraction(0)
     rhs = 0.0
     for br_1, br_2 in pairs:
-        g1, g2 = p1 ** max(br_1[0], br_2[0]), p2 ** max(br_1[1], br_2[1])
-        tb1, tb2 = tables[br_1], tables[br_2]
-        q11, q21 = p1 ** br_1[0], p2 ** br_1[1]
-        q12, q22 = p1 ** br_2[0], p2 ** br_2[1]
-        acc = Fraction(0)
-        for code1 in range(g1):
-            for code2 in range(g2):
-                acc += (tb1[(code1 % q11, code2 % q21)]
-                        * tb2[(code1 % q12, code2 % q22)])
-        lhs += Fraction(acc, g1 * g2)
+        # Joint digit codes; each layer reads its own codes mod its grid side.
+        c1 = np.arange(p1 ** max(br_1[0], br_2[0]))[:, None]
+        c2 = np.arange(p2 ** max(br_1[1], br_2[1]))
+        a, b = grids[br_1], grids[br_2]
+        acc = (a[c1 % a.shape[0], c2 % a.shape[1]]
+               * b[c1 % b.shape[0], c2 % b.shape[1]]).sum()
+        lhs += Fraction(acc, c1.size * c2.size * a.size * b.size)
         rhs += _majorant_pair(bp, (br_1, br_2))
     return (abs(float(lhs)), rhs)
 

@@ -65,13 +65,16 @@ class LinearFormInstance:
                 "coefficients must carry the same power of p "
                 f"(got ord_{self.p}({self.l1}) != ord_{self.p}({self.l2}))"
             )
-        if self.b < 0:
-            raise ValueError(f"exponent must be >= 0, got {self.b}")
+        if not hasattr(self.b, "__index__") or self.b < 0:
+            raise ValueError(f"exponent must be an integer >= 0, got {self.b}")
+        # numpy integers become ints, so l1 * p_other**b cannot wrap.
+        for name in ("p", "p_other", "l1", "l2", "b"):
+            object.__setattr__(self, name, getattr(self, name).__index__())
 
 
 def linear_form_valuation(inst: LinearFormInstance) -> int:
     """Exact ord_p of l1 * p_other**b - l2; raises ZeroFormError on 0."""
-    xi = inst.l1 * inst.p_other.__index__() ** inst.b - inst.l2
+    xi = inst.l1 * inst.p_other ** inst.b - inst.l2
     if xi == 0:
         raise ZeroFormError(
             f"{inst.l1} * {inst.p_other}^{inst.b} - {inst.l2} is zero"
@@ -83,6 +86,10 @@ def multiplicative_order(a: int, p: int) -> int:
     """Order of a in the unit group mod p, for prime p not dividing a."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if not hasattr(a, "__index__"):
+        raise ValueError(f"a must be an integer, got {a!r}")
+    # numpy integers become ints, so a % p cannot overflow.
+    p, a = p.__index__(), a.__index__()
     if a % p == 0:
         raise ValueError(f"{a} is divisible by {p}")
     a %= p
@@ -102,14 +109,14 @@ def lte_valuation(p: int, a: int, k: int) -> int:
     k, and then ord_p(a**d - 1) + ord_p(k/d); the p = 2 case splits on the
     parity of k.  Raises ZeroFormError when a**k - 1 is zero.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if not hasattr(a, "__index__"):
-        raise ValueError(f"a must be an integer, got {a!r}")
+    if not (hasattr(a, "__index__") and hasattr(k, "__index__")):
+        raise ValueError(f"a and k must be integers, got {a!r} and {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     # numpy integers become ints, so a ** d cannot wrap.
-    p, a = p.__index__(), a.__index__()
+    p, a, k = p.__index__(), a.__index__(), k.__index__()
     if a % p == 0:
         raise ValueError(f"{a} is divisible by {p}")
     if a == 1 or (a == -1 and k % 2 == 0):

@@ -47,13 +47,17 @@ def crt_inverses(bases: BasisPair | Sequence[int], r: TruncIndex) -> ResidueData
     return _crt_cached(bp.p1, bp.p2, r1, r2)
 
 
-def _check_window(q_start: int, n_count: int) -> None:
-    """Reject an index window [q_start, q_start + n_count) that is empty or
-    starts below 0."""
+def _check_window(q_start: int, n_count: int) -> tuple[int, int]:
+    """Reject an index window [q_start, q_start + n_count) whose ends are not
+    integers, that is empty or that starts below 0; return its ends as ints."""
+    if not (hasattr(q_start, "__index__") and hasattr(n_count, "__index__")):
+        raise ValueError(f"start and count must be integers, got "
+                         f"{q_start!r} and {n_count!r}")
     if n_count < 1:
         raise ValueError(f"count must be >= 1, got {n_count}")
     if q_start < 0:
         raise ValueError(f"start must be >= 0, got {q_start}")
+    return q_start.__index__(), n_count.__index__()
 
 
 @lru_cache(maxsize=4096)

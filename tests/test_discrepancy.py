@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from haltonlab import (
@@ -365,16 +366,30 @@ def test_decomposition_term_depth_rejection():
 
 def test_decomposition_term_rejects_empty_and_negative_windows():
     x = (F(1, 2), F(1, 3))
-    for q, n in ((0, 0), (0, -5), (-3, 10)):
+    for q, n in ((0, 0), (0, -5), (-3, 10), (0.5, 5), (0, 5.0), (0, F(5))):
         with pytest.raises(ValueError):
             decomposition_term(x, (2, 2), q, n, (2, 3))
 
 
 def test_decomposition_layers_rejects_empty_and_negative_windows():
     x = (F(3, 4), F(5, 9))
-    for q, n in ((0, 0), (0, -5), (-3, 10)):
+    for q, n in ((0, 0), (0, -5), (-3, 10), (0.5, 5), (0, 5.0), (0, F(5))):
         with pytest.raises(ValueError):
             decomposition_layers(x, q, n, (2, 3))
+
+
+def test_depth_from_count_entries_take_numpy_counts():
+    # Both entries read the depth floor(log2 N) + 1 off the count, and a
+    # numpy count had no bit_length.
+    x = (F(3, 4), F(5, 9))
+    q, n = np.int64(7), np.int64(6)
+    assert decomposition_layers(x, q, n, (2, 3)) == \
+        decomposition_layers(x, 7, 6, (2, 3))
+    assert truncated_discrepancy(x, q, n, (2, 3)) == \
+        truncated_discrepancy(x, 7, 6, (2, 3))
+    for q, n in ((0, 0), (-3, 10), (0.5, 5), (0, 5.0), (0, F(5))):
+        with pytest.raises(ValueError):
+            truncated_discrepancy(x, q, n, (2, 3))
 
 
 def test_layers_sum_to_truncated_discrepancy():

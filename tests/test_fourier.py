@@ -13,7 +13,6 @@ import pytest
 
 from haltonlab import (
     BasisPair,
-    cell_fourier_factor,
     count_in_class,
     crt_inverses,
     decomposition_term,
@@ -23,7 +22,6 @@ from haltonlab import (
     resonance_sums,
     second_moment_block,
     signed_residues,
-    window_fourier_coefficient,
 )
 from haltonlab import fourier
 
@@ -49,86 +47,80 @@ def _nonzero(M):
 
 
 # ---------------------------------------------------------------------------
-# the window coefficient phi
+# the window coefficient phi, swept over the nonzero signed window
+
+def _phi(r, q_start, n_count, bases=(2, 3)):
+    """phi(m) for every nonzero signed residue m mod P, and those m."""
+    P = crt_inverses(bases, r).P
+    m = np.array(_nonzero(P), dtype=np.int64)
+    return fourier._window_terms(P, q_start, n_count, m, 0), m
+
 
 def test_phi_vanishes_over_full_periods():
     for mult in (1, 2, 5):
-        for m in _nonzero(6):
-            assert window_fourier_coefficient(
-                (1, 1), 0, 6 * mult, m, (2, 3)) == 0j
+        z, _ = _phi((1, 1), 0, 6 * mult)
+        assert np.all(z == 0j)
 
 
 def test_phi_single_point_magnitude():
-    for m in _nonzero(12):
-        z = window_fourier_coefficient((2, 1), 9, 1, m, (2, 3))
-        assert abs(abs(z) - 1 / 12) < 1e-12
+    z, _ = _phi((2, 1), 9, 1)
+    assert np.all(np.abs(np.abs(z) - 1 / 12) < 1e-12)
 
 
 def test_phi_frozen_half_period_value():
-    z = window_fourier_coefficient((1, 1), 0, 3, 1, (2, 3))
-    assert abs(abs(z) - F(1, 3)) < 1e-12
+    z, m = _phi((1, 1), 0, 3)
+    assert abs(abs(z[m == 1][0]) - F(1, 3)) < 1e-12
 
 
 def test_phi_magnitude_bound():
     for r, P in (((1, 1), 6), ((2, 1), 12), ((2, 2), 36)):
         for n in (1, 2, 3, 7, P - 1, P + 5, 2 * P - 1):
             for q in (0, 3, 7):
-                for m in _nonzero(P):
-                    z = window_fourier_coefficient(r, q, n, m, (2, 3))
-                    assert abs(z) <= 1 / max(1, abs(m)) + 1e-12
+                z, m = _phi(r, q, n)
+                assert np.all(np.abs(z) <= 1 / np.abs(m) + 1e-12)
 
 
 def test_phi_completeness_identity():
     # Indicator of a residue class on [Q, Q+N) recovered from the window sums.
     for r in ((1, 1), (2, 1), (1, 2)):
-        rd = crt_inverses((2, 3), r)
-        P = rd.P
+        P = crt_inverses((2, 3), r).P
         for q, n in ((0, 5), (7, 11), (100, 2 * P + 3)):
+            phi, m = _phi(r, q, n)
             for cls in range(0, P, max(1, P // 5)):
-                acc = n / P
-                for m in _nonzero(P):
-                    phi = window_fourier_coefficient(r, q, n, m, (2, 3))
-                    acc += (phi * _e(F((-m * cls) % P, P))).real
+                turns = np.array([_e(F((-k * cls) % P, P))
+                                  for k in m.tolist()])
+                acc = n / P + (phi * turns).real.sum()
                 assert abs(acc - count_in_class(cls, q, n, P)) < 1e-10
 
 
-def test_phi_rejections():
-    with pytest.raises(ValueError):
-        window_fourier_coefficient((1, 1), 0, 5, 0, (2, 3))
-    with pytest.raises(ValueError):
-        window_fourier_coefficient((1, 1), 0, 5, 4, (2, 3))
-    with pytest.raises(ValueError):
-        window_fourier_coefficient((1, 1), 0, 0, 1, (2, 3))
-    with pytest.raises(ValueError):
-        window_fourier_coefficient((1, 1), -1, 5, 1, (2, 3))
-
-
 # ---------------------------------------------------------------------------
-# the digit-cell factor psi
+# the digit-cell factor psi, swept over the signed window
+
+def _psi(r, x, bases=(2, 3)):
+    """psi(m) at corner x for every signed residue m mod P, 0 included."""
+    rd = crt_inverses(bases, r)
+    m = np.array(signed_residues(rd.P), dtype=np.int64)
+    out = 1
+    for xi, p, ri, M in zip(x, bases, r, (rd.M1, rd.M2)):
+        table = fourier._axis_cell_table(p, int(xi * p ** ri) % p)
+        out = out * table[m * M % p]
+    return out
+
 
 def test_psi_zero_when_last_digit_zero():
-    for m in signed_residues(6):
-        assert cell_fourier_factor((1, 1), m, (F(1, 4), F(1, 3)), (2, 3)) == 0j
+    assert np.all(_psi((1, 1), (F(1, 4), F(1, 3))) == 0j)
 
 
 def test_psi_unit_digit_gives_unit_factors():
-    for m in signed_residues(6):
-        z = cell_fourier_factor((1, 1), m, (F(1, 2), F(1, 3)), (2, 3))
-        assert abs(abs(z) - 1) < 1e-12
+    z = _psi((1, 1), (F(1, 2), F(1, 3)))
+    assert np.all(np.abs(np.abs(z) - 1) < 1e-12)
 
 
 def test_psi_magnitude_bound_exhaustive():
     for d1 in range(2):
         for d2 in range(3):
-            x = (F(d1, 2), F(d2, 3))
-            for m in signed_residues(6):
-                z = cell_fourier_factor((1, 1), m, x, (2, 3))
-                assert abs(z) <= 6 + 1e-12
-
-
-def test_psi_window_rejection():
-    with pytest.raises(ValueError):
-        cell_fourier_factor((1, 1), 4, (F(1, 2), F(1, 3)), (2, 3))
+            z = _psi((1, 1), (F(d1, 2), F(d2, 3)))
+            assert np.all(np.abs(z) <= 6 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +166,7 @@ def test_fourier_layer_zero_cases():
 
 def test_fourier_layer_rejects_empty_and_negative_windows():
     x = (F(1, 2), F(1, 3))
-    for q, n in ((0, 0), (0, -5), (-3, 10)):
+    for q, n in ((0, 0), (0, -5), (-3, 10), (0, 5.5), (0.5, 5), (0, 5.0)):
         with pytest.raises(ValueError):
             decomposition_term_fourier(x, (2, 2), q, n, (2, 3))
 
@@ -215,8 +207,6 @@ def test_fourier_layer_rejects_moduli_beyond_int64_products(monkeypatch):
     x = (F(1, 2), F(1, 3))
     with pytest.raises(ValueError, match="2\\^31"):
         decomposition_term_fourier(x, (20, 7), 0, 5, (2, 3))
-    with pytest.raises(ValueError, match="2\\^31"):
-        window_fourier_coefficient((20, 7), 0, 5, 1, (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +387,22 @@ def _grid_lhs(lam, n_count, q_start, bases, n, v, vv):
     return abs(float(total))
 
 
-def test_second_moment_lhs_matches_grid_average():
-    for lam in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        for n_count in (1, 2, 3):
-            lhs, _ = second_moment_block(lam, n_count, 0, (2, 3), 2, 0, 0)
-            want = _grid_lhs(lam, n_count, 0, (2, 3), 2, 0, 0)
-            assert math.isclose(lhs, want, rel_tol=1e-12, abs_tol=1e-15)
-
-
 # The fold weights M_j * p^(t - r_j) depend on the bases, so the naive
 # comparisons run at three base pairs, each with its largest depths n.  At
 # (3, 5) the oracles' window search spends about 11 s at n = 3, so the
 # depth gap 2 that n = 3 brings is covered at (2, 3) and (2, 5) only.
 MOMENT_BASES = [((2, 3), (2, 3)), ((2, 5), (2, 3)), ((3, 5), (2,))]
 MOMENT_IDS = ["2,3", "2,5", "3,5"]
+
+
+@pytest.mark.parametrize("q_start", [0, 7, 10 ** 6, 10 ** 12])
+@pytest.mark.parametrize("bases, ns", MOMENT_BASES, ids=MOMENT_IDS)
+def test_second_moment_lhs_matches_grid_average(bases, ns, q_start):
+    # Both sides are abs(float()) of the same exact rational.
+    for lam in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        for n_count in (1, 2, 3):
+            lhs, _ = second_moment_block(lam, n_count, q_start, bases, 2, 0, 0)
+            assert lhs == _grid_lhs(lam, n_count, q_start, bases, 2, 0, 0)
 
 
 @pytest.mark.parametrize("bases, ns", MOMENT_BASES, ids=MOMENT_IDS)
@@ -450,6 +442,10 @@ def test_second_moment_guards():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be >= 1"):
             second_moment_block((0, 0), 1, 0, (2, 3), n, 0, 0)
+    # Any other lam matched no depth pair and gave (0.0, 0.0).
+    for lam in ((2, 0), (0, -1), (1, 1, 0)):
+        with pytest.raises(ValueError, match="lam must be"):
+            second_moment_block(lam, 2, 0, (2, 3), 2, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -483,3 +479,6 @@ def test_resonance_empty_cell_and_guards():
     # A fractional cap would sum over the asymmetric box -2..3.
     with pytest.raises(ValueError, match="m_cap must be an integer"):
         resonance_sums((0, 0), (2, 3), 2, 0, 0, m_cap=2.5)
+    for lam in ((2, 0), (0, -1), (1, 1, 0)):
+        with pytest.raises(ValueError, match="lam must be"):
+            resonance_sums(lam, (2, 3), 2, 0, 0)

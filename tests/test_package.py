@@ -62,3 +62,22 @@ def test_imports_after_numpy_are_the_known_ones():
     loaded = set(out.split())
     assert "haltonlab.cli" in loaded
     assert loaded - IMPORTS_AFTER_NUMPY == set()
+
+
+# The package's 37 public names; a new one has to be added here on purpose.
+PUBLIC_NAMES = [
+    "BasisPair", "DiscrepancyValue", "EAGER_CAP", "KINDS",
+    "LinearFormInstance", "PointSet", "RationalPoint", "ResidueData",
+    "ScanReport", "ZeroFormError", "count_in_class", "crt_inverses",
+    "decomposition_layers", "decomposition_term", "decomposition_term_fourier",
+    "digit_split", "first_primes", "in_elementary_interval", "is_prime",
+    "l2_discrepancy_squared", "linear_form_scan", "linear_form_valuation",
+    "load_csv", "local_discrepancy", "lte_valuation", "multiplicative_order",
+    "partition_label", "point_set", "resonance_sums", "save_csv",
+    "second_moment_block", "signed_rep", "signed_residues", "star_discrepancy",
+    "truncate_digits", "truncated_discrepancy", "valuation",
+]
+
+
+def test_public_names_are_the_known_ones():
+    assert sorted(haltonlab.__all__) == PUBLIC_NAMES

@@ -217,3 +217,22 @@ def test_numpy_integer_primes_are_accepted():
     with np.errstate(all="raise"):
         assert linear_form_scan(3, np.int64(2), 3, 80) == linear_form_scan(
             3, 2, 3, 80)
+
+
+def test_numpy_and_float_integers_in_the_remaining_entries():
+    # a % p and l1 * p_other**b ran in int64 and overflowed or wrapped;
+    # float arguments answered as if they were integers.
+    assert multiplicative_order(2 ** 70, np.int64(3)) == \
+        multiplicative_order(2 ** 70 % 3, 3)
+    for inst in (LinearFormInstance(3, 2, np.int64(1), 1, 80),
+                 LinearFormInstance(3, 2, 1, 1, np.int64(80))):
+        assert linear_form_valuation(inst) == \
+            brute_power_valuation(3, 2, 80) == 1
+    with pytest.raises(ValueError, match="integer"):
+        multiplicative_order(2.0, 3)
+    for b in (2.5, 2.0):
+        with pytest.raises(ValueError, match="integer"):
+            LinearFormInstance(3, 2, 1, 1, b)
+    for k in (2.5, 4.0):
+        with pytest.raises(ValueError, match="integers"):
+            lte_valuation(3, 2, k)

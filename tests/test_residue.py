@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from haltonlab import (
-    cell_fourier_factor,
     crt_inverses,
     decomposition_layers,
     decomposition_term,
@@ -114,8 +113,6 @@ CORNER_ENTRIES = {
         lambda x, r: in_elementary_interval(1, x, r, (2, 3)),
     "decomposition_term_fourier":
         lambda x, r: decomposition_term_fourier(x, r, 0, 6, (2, 3)),
-    "cell_fourier_factor":
-        lambda x, r: cell_fourier_factor(r, 1, x, (2, 3)),
     "truncate_digits":
         lambda x, r: truncate_digits(x, r, (2, 3)),
 }
